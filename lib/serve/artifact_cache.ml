@@ -2,6 +2,8 @@ type 'v node = {
   key : string;
   value : 'v;
   cost_s : float;
+  mutable rendered : (string * string) list;
+      (* (view, bytes) pairs stored beside the value, newest first *)
   mutable prev : 'v node option;  (* towards most recently used *)
   mutable next : 'v node option;  (* towards least recently used *)
 }
@@ -90,7 +92,7 @@ let insert t ~key ~cost_s value =
     Hashtbl.remove t.table key;
     t.entries <- t.entries - 1
   | None -> ());
-  let node = { key; value; cost_s; prev = None; next = None } in
+  let node = { key; value; cost_s; rendered = []; prev = None; next = None } in
   Hashtbl.replace t.table key node;
   push_front t node;
   t.entries <- t.entries + 1;
@@ -141,6 +143,26 @@ let find_opt t key =
   else locked t (fun () -> lookup t key)
 
 let mem t key = locked t (fun () -> Hashtbl.mem t.table key)
+
+let max_views = 4
+
+let rendered t ~key ~view =
+  locked t (fun () ->
+      match Hashtbl.find_opt t.table key with
+      | Some node -> List.assoc_opt view node.rendered
+      | None -> None)
+
+let set_rendered t ~key ~view bytes =
+  locked t (fun () ->
+      match Hashtbl.find_opt t.table key with
+      | Some node ->
+        node.rendered <-
+          (view, bytes)
+          :: List.filteri
+               (fun i _ -> i < max_views - 1)
+               (List.remove_assoc view node.rendered)
+      | None -> ())
+
 let length t = locked t (fun () -> t.entries)
 
 let keys t =

@@ -60,6 +60,20 @@ val find_opt : 'v t -> string -> 'v option
 val mem : 'v t -> string -> bool
 (** Pure membership probe: no counter moves, no recency refresh. *)
 
+val rendered : 'v t -> key:string -> view:string -> string option
+(** The bytes {!set_rendered} stored beside the resident entry [key]
+    under [view], if any.  A pure probe like {!mem}: no counter moves,
+    no recency refresh. *)
+
+val set_rendered : 'v t -> key:string -> view:string -> string -> unit
+(** Store [bytes] beside the resident entry [key] under [view] (a no-op
+    when [key] is not resident).  The serve protocol keeps a fully
+    cached response's rendered result here, so a repeat hit splices
+    bytes instead of re-rendering them.  Each entry keeps at most 4
+    views (the most recently stored), so the bytes are bounded by the
+    capacity; they leave with their entry (eviction, replacement,
+    {!clear}) and are never part of {!dump}. *)
+
 val length : 'v t -> int
 
 val keys : 'v t -> string list

@@ -52,8 +52,17 @@ let nu cache pattern =
   | Nu m, hit -> (m, hit)
   | _ -> unwrap_error ~key ~wanted:"nu"
 
-let analysis cache config =
-  let key = "analysis|" ^ Cave.config_key config in
+(* The per-design keys take the configuration's canonical
+   [Cave.config_key] rather than the configuration, so a caller deriving
+   several keys of one design serializes it once. *)
+let analysis_key config_key = "analysis|" ^ config_key
+
+let analysis ?key cache config =
+  let key =
+    match key with
+    | Some k -> k
+    | None -> analysis_key (Cave.config_key config)
+  in
   match
     Artifact_cache.find_or_build cache ~key (fun () ->
         let pattern =
@@ -77,10 +86,16 @@ let kernel cache config =
   | Kernel k, hit -> (k, hit)
   | _ -> unwrap_error ~key ~wanted:"kernel"
 
-let report cache spec =
+let report_key ~raw_bits config_key =
+  Printf.sprintf "report|raw=%d|%s" raw_bits config_key
+
+let report ?key cache spec =
   let key =
-    Printf.sprintf "report|raw=%d|%s" spec.Design.raw_bits
-      (Cave.config_key spec.Design.cave)
+    match key with
+    | Some k -> k
+    | None ->
+      report_key ~raw_bits:spec.Design.raw_bits
+        (Cave.config_key spec.Design.cave)
   in
   match
     Artifact_cache.find_or_build cache ~key (fun () ->
@@ -89,18 +104,17 @@ let report cache spec =
   | Report r, hit -> (r, hit)
   | _ -> unwrap_error ~key ~wanted:"report"
 
-let estimate_key ~seed ~samples config =
-  Printf.sprintf "estimate|seed=%d|samples=%d|%s" seed samples
-    (Cave.config_key config)
-
-(* The spec key replaces the plain [samples=] component: strategy and
+(* A spec'd key replaces the plain [samples=] component: strategy and
    stopping rule are part of the estimate's identity, and the
    serialization is injective, so distinct specs never collide — with
    each other or with the legacy plain keys. *)
-let estimate_spec_key ~seed ~spec config =
-  Printf.sprintf "estimate|seed=%d|%s|%s" seed
-    (Montecarlo.spec_key spec)
-    (Cave.config_key config)
+let estimate_key ~seed ~samples ?spec config_key =
+  match spec with
+  | None ->
+    Printf.sprintf "estimate|seed=%d|samples=%d|%s" seed samples config_key
+  | Some spec ->
+    Printf.sprintf "estimate|seed=%d|%s|%s" seed (Montecarlo.spec_key spec)
+      config_key
 
 (* One cache round for a precomputed (or about-to-be-computed) estimate:
    [find_or_build] keeps the hit/miss accounting — and therefore the
@@ -113,26 +127,10 @@ let estimate_with cache ~key ~build =
   | Estimate e, hit -> (e, hit)
   | _ -> unwrap_error ~key ~wanted:"estimate"
 
-let estimate cache ~ctx ~seed ~samples config =
-  estimate_with cache ~key:(estimate_key ~seed ~samples config)
-    ~build:(fun () ->
-      let a, _ = analysis cache config in
-      let k, _ = kernel cache config in
-      Cave.mc_yield_window_par ~ctx ~kernel:k (Rng.create ~seed) ~samples a)
-
-let estimate_spec cache ~ctx ~seed ~spec config =
-  let samples =
-    match spec.Montecarlo.stopping with
-    | Montecarlo.Fixed_samples n -> n
-    | Montecarlo.Until_rel_error { max_samples; _ } -> max_samples
-  in
-  estimate_with cache ~key:(estimate_spec_key ~seed ~spec config)
-    ~build:(fun () ->
-      let a, _ = analysis cache config in
-      let k, _ = kernel cache config in
-      Cave.mc_yield_window_par ~ctx ~spec ~kernel:k
-        (Rng.create ~seed)
-        ~samples a)
+let mc_estimate cache ~ctx ~seed ~spec ~samples config =
+  let a, _ = analysis cache config in
+  let k, _ = kernel cache config in
+  Cave.mc_yield_window_par ~ctx ~spec ~kernel:k (Rng.create ~seed) ~samples a
 
 let sweep cache spec =
   let key =

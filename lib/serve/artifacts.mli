@@ -48,24 +48,39 @@ val words :
 
 val nu : t -> Nanodec_mspt.Pattern.t -> Imatrix.t * bool
 
-val analysis : t -> Cave.config -> Cave.analysis * bool
-(** Builds through the {!nu} cache ([Cave.analyze ?nu]). *)
+(** The per-design key functions take the configuration's canonical
+    {!Nanodec_crossbar.Cave.config_key} (not the configuration), so a
+    caller deriving several keys of one design serializes it once. *)
+
+val analysis_key : string -> string
+(** [analysis_key (Cave.config_key c)]: the cache key of [c]'s
+    analysis. *)
+
+val analysis : ?key:string -> t -> Cave.config -> Cave.analysis * bool
+(** Builds through the {!nu} cache ([Cave.analyze ?nu]).  [?key] is
+    the precomputed {!analysis_key} of the config, for callers that
+    derived it already. *)
 
 val kernel : t -> Cave.config -> Kernel.t * bool
 (** Builds through the {!analysis} cache
     ([Cave.kernel_of_analysis]). *)
 
-val report : t -> Design.spec -> Design.report * bool
+val report_key : raw_bits:int -> string -> string
+(** [report_key ~raw_bits:s.raw_bits (Cave.config_key s.cave)]: the
+    cache key of spec [s]'s design report. *)
 
-val estimate_key : seed:int -> samples:int -> Cave.config -> string
-(** The canonical cache key of a plain fixed-count estimate — exposed
-    so the batch-fusion layer can group and overlay requests by the
-    exact identity the cache uses. *)
+val report : ?key:string -> t -> Design.spec -> Design.report * bool
+(** [?key] is the precomputed {!report_key} of the spec. *)
 
-val estimate_spec_key :
-  seed:int -> spec:Montecarlo.spec -> Cave.config -> string
-(** The canonical cache key of a spec'd estimate (injective
-    {!Montecarlo.spec_key} component, disjoint from the plain keys). *)
+val estimate_key :
+  seed:int -> samples:int -> ?spec:Montecarlo.spec -> string -> string
+(** [estimate_key ~seed ~samples ?spec (Cave.config_key c)]: the cache
+    key of an MC window-yield estimate of [c].  Without
+    [spec] it is the plain fixed-count key of (config, seed, samples),
+    whose strategy is the daemon's; with [spec] the injective
+    {!Montecarlo.spec_key} replaces the sample count, disjoint from the
+    plain keys — every strategy/stopping combination is a distinct,
+    equally deterministic estimate. *)
 
 val estimate_with :
   t ->
@@ -73,35 +88,23 @@ val estimate_with :
   build:(unit -> Montecarlo.estimate) ->
   Montecarlo.estimate * bool
 (** One cache round at [key]: return the cached estimate, or install
-    [build ()].  The batch fuser passes the fused-run result as
-    [build], so hit/miss accounting — and the [cached] flag of every
-    response — stays identical to serial unbatched execution. *)
+    [build ()].  The batch fuser's overlay results and {!mc_estimate}
+    both install through here, so hit/miss accounting — and the
+    [cached] flag of every response — stays identical to serial
+    unbatched execution. *)
 
-val estimate :
-  t ->
-  ctx:Nanodec_parallel.Run_ctx.t ->
-  seed:int ->
-  samples:int ->
-  Cave.config ->
-  Montecarlo.estimate * bool
-(** [Cave.mc_yield_window_par] through the {!analysis} and {!kernel}
-    caches; the estimate itself is cached keyed by
-    (config, seed, samples) — legitimate because the chunked estimator
-    is bit-for-bit invariant in pool, chunking and domain count. *)
-
-val estimate_spec :
+val mc_estimate :
   t ->
   ctx:Nanodec_parallel.Run_ctx.t ->
   seed:int ->
   spec:Montecarlo.spec ->
+  samples:int ->
   Cave.config ->
-  Montecarlo.estimate * bool
-(** {!estimate} for requests that picked a sampling strategy or an
-    adaptive stopping rule: keyed by (config, seed,
-    {!Montecarlo.spec_key}) — every strategy/stopping combination is a
-    distinct, equally deterministic estimate, and the injective spec
-    serialization keeps the key space disjoint from the legacy plain
-    keys. *)
+  Montecarlo.estimate
+(** [Cave.mc_yield_window_par] through the {!analysis} and {!kernel}
+    caches, uncached itself: the estimate's builder.  Caching it by
+    {!estimate_key} is legitimate because the chunked estimator is
+    bit-for-bit invariant in pool, chunking and domain count. *)
 
 val sweep : t -> Design.spec -> Design.report list * bool
 (** [Optimizer.sweep] of the default candidate grid on the spec's

@@ -7,7 +7,7 @@
    fan-out — one kernel fetch per distinct design, one autotune plan,
    one chunk-claimed mega-job — and hands the results back as a
    key-indexed overlay.  Each request still executes through
-   [Protocol.handle_line] afterwards, so response rendering, cache
+   [Protocol.execute] afterwards, so response rendering, cache
    accounting and error semantics are exactly the unbatched path's;
    fusion moves wall-clock time, never bytes.
 

@@ -1,7 +1,7 @@
 (** Cross-request batch fusion for the daemon: coalesce the Monte-Carlo
     work of concurrent requests into shared kernel mega-batches.
 
-    The server buffers fusable requests ({!Protocol.classify_fusable})
+    The server buffers fusable requests ({!Protocol.plan_of})
     for a bounded window and flushes them as one fused job; {!prepare}
     then computes every distinct cold estimate of the batch through a
     single {!Nanodec_numerics.Montecarlo.run_many} fan-out and returns a

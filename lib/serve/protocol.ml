@@ -9,7 +9,7 @@ module Fault = Nanodec_fault.Fault
 (* A live view of the server's dispatch queue and snapshot clock,
    installed by the concurrent server so the [stats] and [shutdown]
    verbs can report scheduling state.  [None] (direct [handle_line]
-   callers: tests, a hypothetical inline runner) reports zeros. *)
+   callers: tests, benches) reports the serial picture. *)
 type batch_view = {
   window_s : float;
   max_batch : int;
@@ -29,6 +29,7 @@ type scheduler = {
   inflight : int;
   queued : int;
   shed : int;
+  inline : int;
   snapshot_age_s : float option;
   batch : batch_view option;
 }
@@ -71,6 +72,7 @@ let scheduler_view state =
       inflight = 1;
       queued = 0;
       shed = 0;
+      inline = 0;
       snapshot_age_s = None;
       batch = None;
     }
@@ -265,19 +267,178 @@ let spec_of_params params =
   let base = { Design.default_spec with Design.raw_bits } in
   Design.spec ~base ~radix ~n_wires ~code_type ~code_length ()
 
+(* --- request preparation ---
+
+   Each request line is parsed, validated and keyed exactly once, on
+   arrival; admission (is it warm?), batch fusion (what would it
+   compute?) and execution all read the one [request] that results.
+   Preparation never touches the artifact cache and never runs MC work.
+   A line that fails to parse or validate prepares into its error, so
+   execution renders the same error bytes (with the same precedence:
+   verb, exec, params, then the verb's own parameters) that a one-shot
+   parse-and-run would. *)
+
+(* The Monte-Carlo identity of an [evaluate] (with [mc_samples]) or a
+   [yield]: the seed and sampling spec its request context derives, and
+   the estimate's cache key. *)
+type mc = {
+  seed : int;
+  samples : int;
+  spec : Montecarlo.spec;
+  tagged : bool;
+      (* opted into [method]/[rel_error]: spec-keyed, and the response
+         carries the method tag (legacy responses stay golden-stable) *)
+  est_key : string;
+}
+
+type work =
+  | Ping
+  | Evaluate of { design : Design.spec; report_key : string; mc : mc option }
+  | Yield of { design : Design.spec; analysis_key : string; mc : mc }
+  | Sweep
+  | Codes
+  | Check
+  | Stats
+  | Shutdown
+
+type ready = {
+  id : Json.t;
+  verb : string;
+  exec : exec;
+  params : Json.t;
+  work : work;
+}
+
+type request = Ready of ready | Rejected of { id : Json.t; err : E.t }
+
+let classify_exn exn =
+  match Errors.classify exn with
+  | Some err -> err
+  | None ->
+    (* A genuine bug — but a daemon must answer, not die.  The detail
+       keeps the exception text so the bug is findable. *)
+    E.internal (Printexc.to_string exn)
+
+let mc_of state (exec : exec) ~samples config_key =
+  (* The seed and spec come from the same [Run_ctx.with_request] the
+     execution derives its context with — minus the fault plan and the
+     degrade policy, which only choose the pool (so this never builds
+     one) and never change the numbers. *)
+  let seed, spec =
+    Run_ctx.with_request ~base:state.base ?seed:exec.seed
+      ?mc_samples:exec.mc_samples ?chunking:exec.chunking
+      ?mc_method:exec.mc_method ?rel_error:exec.rel_error ~warn:false
+      (fun ctx -> (Run_ctx.seed ctx, Montecarlo.spec_of_ctx ~ctx ~samples ()))
+  in
+  let tagged = exec.mc_method <> None || exec.rel_error <> None in
+  {
+    seed;
+    samples;
+    spec;
+    tagged;
+    est_key =
+      Artifacts.estimate_key ~seed ~samples
+        ?spec:(if tagged then Some spec else None)
+        config_key;
+  }
+
+let prepare_obj state ~id json =
+  let verb =
+    match string_field json "verb" with
+    | Some v -> v
+    | None ->
+      E.invalid_inputf
+        ~hint:("known verbs: " ^ String.concat ", " known_verbs)
+        "request has no \"verb\" field"
+  in
+  let exec = exec_of_json json in
+  let params = params_of_json json in
+  let work =
+    match verb with
+    | "ping" -> Ping
+    | "evaluate" ->
+      let design = spec_of_params params in
+      let config_key = Cave.config_key design.Design.cave in
+      Evaluate
+        {
+          design;
+          report_key =
+            Artifacts.report_key ~raw_bits:design.Design.raw_bits config_key;
+          mc =
+            Option.map
+              (fun samples -> mc_of state exec ~samples config_key)
+              exec.mc_samples;
+        }
+    | "yield" ->
+      let design = spec_of_params params in
+      let config_key = Cave.config_key design.Design.cave in
+      let samples = Option.value exec.mc_samples ~default:1000 in
+      Yield
+        {
+          design;
+          analysis_key = Artifacts.analysis_key config_key;
+          mc = mc_of state exec ~samples config_key;
+        }
+    | "sweep" -> Sweep
+    | "codes" -> Codes
+    | "check" -> Check
+    | "stats" -> Stats
+    | "shutdown" -> Shutdown
+    | v ->
+      E.invalid_inputf
+        ~hint:("known verbs: " ^ String.concat ", " known_verbs)
+        "unknown verb %S" v
+  in
+  { id; verb; exec; params; work }
+
+let prepare state line =
+  match Json.parse line with
+  | Error msg ->
+    Rejected
+      {
+        id = Json.Null;
+        err = E.Invalid_input { what = "malformed JSON request"; hint = Some msg };
+      }
+  | Ok (Json.Obj _ as json) -> (
+    let id = Option.value (Json.member "id" json) ~default:Json.Null in
+    match prepare_obj state ~id json with
+    | r -> Ready r
+    | exception exn -> Rejected { id; err = classify_exn exn })
+  | Ok v ->
+    Rejected
+      {
+        id = Json.Null;
+        err =
+          E.Invalid_input
+            {
+              what = "request must be a JSON object";
+              hint = Some (Printf.sprintf "got %s" (Json.to_string v));
+            };
+      }
+
+(* Warm: every artifact key a fully cached answer reads is resident. *)
+let warm state request =
+  let resident = List.for_all (Artifact_cache.mem state.artifacts) in
+  match request with
+  | Rejected _ -> false
+  | Ready r when bypasses_result_cache r.exec -> false
+  | Ready r -> (
+    match r.work with
+    | Evaluate { report_key; mc = None; _ } -> resident [ report_key ]
+    | Evaluate { report_key; mc = Some mc; _ } -> resident [ report_key; mc.est_key ]
+    | Yield { analysis_key; mc; _ } -> resident [ analysis_key; mc.est_key ]
+    | Ping | Sweep | Codes | Check | Stats | Shutdown -> false)
+
 (* --- batch fusion classification ---
 
    A request is fusable when its MC work is a pure fixed-count estimate
    the batch layer can precompute: an MC-bearing verb ([yield], or
    [evaluate] with [mc_samples]), no cache bypass (fault plan,
    no_degrade, deadline — those must execute their own failure
-   semantics), and no adaptive stopping anywhere (request or base
-   context — adaptive rounds cannot share a fan-out).  The plan records
-   the request's estimate identity exactly as [run_estimate] will
-   derive it, so the fused result lands on the very cache key the
-   request's own execution looks up.  Total: any parse or validation
-   failure classifies as not-fusable and the request takes the single
-   path, which reproduces the error response bytes unchanged. *)
+   semantics), and fixed stopping (request or base context — adaptive
+   rounds cannot share a fan-out).  The plan carries the prepared
+   estimate identity, so the fused result lands on the very cache key
+   the request's own execution looks up. *)
 
 type fuse_plan = {
   fuse_key : string;  (* the estimate's artifact-cache key *)
@@ -287,55 +448,28 @@ type fuse_plan = {
   fuse_config : Cave.config;
 }
 
-exception Not_fusable
-
-let classify_fusable state line =
-  match Json.parse line with
-  | Error _ -> None
-  | Ok (Json.Obj _ as json) -> (
-    match
-      let exec = exec_of_json json in
-      let samples =
-        match (string_field json "verb", exec.mc_samples) with
-        | Some "yield", s -> Option.value s ~default:1000
-        | Some "evaluate", Some s -> s
-        | _ -> raise Not_fusable
-      in
-      if bypasses_result_cache exec then raise Not_fusable;
-      if exec.rel_error <> None || Run_ctx.rel_error state.base <> None then
-        raise Not_fusable;
-      let config = (spec_of_params (params_of_json json)).Design.cave in
-      let seed = Option.value exec.seed ~default:(Run_ctx.seed state.base) in
-      (* The effective strategy mirrors [Run_ctx.with_request]: the
-         request's [method] wins, otherwise the base context's. *)
-      let strategy =
-        match exec.mc_method with
-        | Some m -> m
-        | None -> Run_ctx.mc_method state.base
-      in
-      let mspec =
-        { Montecarlo.strategy; stopping = Montecarlo.Fixed_samples samples }
-      in
-      let key =
-        (* Same split as [request_spec]: only requests that opted into a
-           method get the spec-keyed estimate; the rest keep the legacy
-           plain key (where the base strategy still steers the build,
-           exactly as [Artifacts.estimate] runs it). *)
-        if exec.mc_method = None then
-          Artifacts.estimate_key ~seed ~samples config
-        else Artifacts.estimate_spec_key ~seed ~spec:mspec config
-      in
+let plan_of = function
+  | Ready
       {
-        fuse_key = key;
-        fuse_seed = seed;
-        fuse_samples = samples;
-        fuse_spec = mspec;
-        fuse_config = config;
+        exec;
+        work = Evaluate { design; mc = Some mc; _ } | Yield { design; mc; _ };
+        _;
       }
-    with
-    | plan -> Some plan
-    | exception _ -> None)
-  | Ok _ -> None
+    when not (bypasses_result_cache exec) -> (
+    match mc.spec.Montecarlo.stopping with
+    | Montecarlo.Fixed_samples _ ->
+      Some
+        {
+          fuse_key = mc.est_key;
+          fuse_seed = mc.seed;
+          fuse_samples = mc.samples;
+          fuse_spec = mc.spec;
+          fuse_config = design.Design.cave;
+        }
+    | Montecarlo.Until_rel_error _ -> None)
+  | _ -> None
+
+let classify_fusable state line = plan_of (prepare state line)
 
 (* Fused results ride to [run_estimate] as a key-indexed overlay: a hit
    is installed through the cache's own [find_or_build] accounting, so
@@ -393,14 +527,20 @@ let report_json (r : Design.report) =
       ("removed_wires", Json.Int r.Design.removed_wires);
     ]
 
-let ok_response ~id ~verb ~cached result =
-  Json.Obj
+(* The ok envelope, spliced around the already-rendered result bytes —
+   byte-for-byte what [Json.to_string] renders for the same object. *)
+let ok_line ~id ~verb ~cached result =
+  String.concat ""
     [
-      ("id", id);
-      ("status", Json.String "ok");
-      ("verb", Json.String verb);
-      ("cached", Json.Bool cached);
-      ("result", result);
+      {|{"id":|};
+      Json.to_string id;
+      {|,"status":"ok","verb":|};
+      Json.to_string (Json.String verb);
+      {|,"cached":|};
+      string_of_bool cached;
+      {|,"result":|};
+      result;
+      "}";
     ]
 
 let error_response ~id err =
@@ -436,88 +576,72 @@ let error_response ~id err =
 
 (* --- verbs --- *)
 
-(* The request's sampling spec, built from the derived context exactly
-   as a standalone CLI run would build it.  [Some spec] also flags the
-   response to carry the method tag — only for requests that opted in,
-   keeping legacy responses golden-stable. *)
-let request_spec exec ~ctx ~samples =
-  if exec.mc_method = None && exec.rel_error = None then None
-  else Some (Montecarlo.spec_of_ctx ~ctx ~samples ())
-
-let run_estimate ?overlay state ~exec ~ctx ~samples config =
-  let seed = Run_ctx.seed ctx in
-  let spec = request_spec exec ~ctx ~samples in
-  if bypasses_result_cache exec then (
-    let analysis, _ = Artifacts.analysis state.artifacts config in
-    let kernel, _ = Artifacts.kernel state.artifacts config in
-    ( Cave.mc_yield_window_par ~ctx ?spec ~kernel (Rng.create ~seed) ~samples
-        analysis,
-      false ))
-  else
-    let fused =
-      match overlay with
-      | None -> None
-      | Some tbl ->
-        let key =
-          match spec with
-          | None -> Artifacts.estimate_key ~seed ~samples config
-          | Some spec -> Artifacts.estimate_spec_key ~seed ~spec config
-        in
-        Option.map (fun e -> (key, e)) (Hashtbl.find_opt tbl key)
-    in
-    match fused with
-    | Some (key, e) ->
-      (* The fused run already produced this request's bits; one cache
-         round installs them with serial hit/miss accounting. *)
-      Artifacts.estimate_with state.artifacts ~key ~build:(fun () -> e)
-    | None -> (
-      match spec with
-      | None -> Artifacts.estimate state.artifacts ~ctx ~seed ~samples config
-      | Some spec ->
-        Artifacts.estimate_spec state.artifacts ~ctx ~seed ~spec config)
-
-let run_evaluate ?overlay state ~exec params =
-  let spec = spec_of_params params in
-  let report, report_hit = Artifacts.report state.artifacts spec in
-  match exec.mc_samples with
-  | None -> (report_json report, report_hit)
-  | Some samples ->
-    with_request_ctx state exec @@ fun ctx ->
-    let seed = Run_ctx.seed ctx in
-    let config = spec.Design.cave in
-    let estimate, est_hit =
-      run_estimate ?overlay state ~exec ~ctx ~samples config
-    in
-    ( (match report_json report with
-      | Json.Obj fields ->
-        Json.Obj
-          (fields
-          @ [
-              ( "mc",
-                estimate_json ~seed
-                  ?spec:(request_spec exec ~ctx ~samples)
-                  estimate );
-            ])
-      | other -> other),
-      report_hit && est_hit )
-
-let run_yield ?overlay state ~exec params =
-  let spec = spec_of_params params in
-  let samples = Option.value exec.mc_samples ~default:1000 in
-  with_request_ctx state exec @@ fun ctx ->
-  let seed = Run_ctx.seed ctx in
-  let config = spec.Design.cave in
-  let analysis, _ = Artifacts.analysis state.artifacts config in
-  let estimate, est_hit =
-    run_estimate ?overlay state ~exec ~ctx ~samples config
+let run_estimate ?overlay state ~exec ~ctx mc config =
+  let build () =
+    Artifacts.mc_estimate state.artifacts ~ctx ~seed:mc.seed ~spec:mc.spec
+      ~samples:mc.samples config
   in
-  ( Json.Obj
-      [
-        ("analytic_yield", Json.Float analysis.Cave.yield);
-        ( "mc",
-          estimate_json ~seed ?spec:(request_spec exec ~ctx ~samples) estimate
-        );
-      ],
+  if bypasses_result_cache exec then (build (), false)
+  else
+    (* A fused run already produced this request's bits; the one cache
+       round installs them with serial hit/miss accounting. *)
+    let fused = Option.bind overlay (fun tbl -> Hashtbl.find_opt tbl mc.est_key) in
+    Artifacts.estimate_with state.artifacts ~key:mc.est_key ~build:(fun () ->
+        match fused with Some e -> e | None -> build ())
+
+(* The result bytes of a response.  A fully cached answer is a pure
+   function of the artifact keys it read, so its bytes are kept beside
+   the last of them and spliced back on the next identical hit instead
+   of re-rendered; the lookups before this still ran, so hit/miss
+   accounting and recency are exactly the re-rendering path's. *)
+let render_result state ~key ~view ~cached render =
+  if not cached then Json.to_string (render ())
+  else
+    match Artifact_cache.rendered state.artifacts ~key ~view with
+    | Some bytes -> bytes
+    | None ->
+      let bytes = Json.to_string (render ()) in
+      Artifact_cache.set_rendered state.artifacts ~key ~view bytes;
+      bytes
+
+let mc_json mc estimate =
+  estimate_json ~seed:mc.seed
+    ?spec:(if mc.tagged then Some mc.spec else None)
+    estimate
+
+let run_evaluate ?overlay state ~exec ~design ~report_key mc =
+  let report, report_hit = Artifacts.report ~key:report_key state.artifacts design in
+  match mc with
+  | None ->
+    ( render_result state ~key:report_key ~view:"evaluate" ~cached:report_hit
+        (fun () -> report_json report),
+      report_hit )
+  | Some mc ->
+    with_request_ctx state exec @@ fun ctx ->
+    let estimate, est_hit =
+      run_estimate ?overlay state ~exec ~ctx mc design.Design.cave
+    in
+    let cached = report_hit && est_hit in
+    ( render_result state ~key:mc.est_key ~view:report_key ~cached (fun () ->
+          match report_json report with
+          | Json.Obj fields -> Json.Obj (fields @ [ ("mc", mc_json mc estimate) ])
+          | other -> other),
+      cached )
+
+let run_yield ?overlay state ~exec ~design ~analysis_key mc =
+  with_request_ctx state exec @@ fun ctx ->
+  let config = design.Design.cave in
+  let analysis, analysis_hit =
+    Artifacts.analysis ~key:analysis_key state.artifacts config
+  in
+  let estimate, est_hit = run_estimate ?overlay state ~exec ~ctx mc config in
+  ( render_result state ~key:mc.est_key ~view:"yield"
+      ~cached:(analysis_hit && est_hit) (fun () ->
+        Json.Obj
+          [
+            ("analytic_yield", Json.Float analysis.Cave.yield);
+            ("mc", mc_json mc estimate);
+          ]),
     est_hit )
 
 let sweep_row_json (r : Design.report) =
@@ -632,6 +756,7 @@ let run_stats state =
             ("inflight", Json.Int sched.inflight);
             ("queued", Json.Int sched.queued);
             ("shed", Json.Int sched.shed);
+            ("inline", Json.Int sched.inline);
             ( "snapshot_age_s",
               match sched.snapshot_age_s with
               | Some a -> Json.Float a
@@ -672,83 +797,55 @@ let run_stats state =
              (Artifact_cache.keys state.artifacts)) );
     ]
 
-(* --- dispatch --- *)
+(* --- execution --- *)
 
-let dispatch ?overlay state ~id json =
-  let verb =
-    match string_field json "verb" with
-    | Some v -> v
-    | None ->
-      E.invalid_inputf
-        ~hint:("known verbs: " ^ String.concat ", " known_verbs)
-        "request has no \"verb\" field"
-  in
-  let exec = exec_of_json json in
-  let params = params_of_json json in
-  let result, cached =
-    match verb with
-    | "ping" -> (Json.Obj [ ("pong", Json.Bool true) ], false)
-    | "evaluate" -> run_evaluate ?overlay state ~exec params
-    | "yield" -> run_yield ?overlay state ~exec params
-    | "sweep" -> run_sweep state params
-    | "codes" -> run_codes state params
-    | "check" -> (run_check params, false)
-    | "stats" -> (run_stats state, false)
-    | "shutdown" ->
-      Atomic.set state.stopping true;
-      (* What the drain will have to finish: every other in-flight
-         request plus everything still queued (this request is the
-         [- 1]).  [shed] is the admission-control reject count so far —
-         the split between served-before-stopping and refused load. *)
-      let sched = scheduler_view state in
-      ( Json.Obj
-          [
-            ("stopping", Json.Bool true);
-            ( "draining",
-              Json.Int (max 0 (sched.inflight - 1) + sched.queued) );
-            ("shed", Json.Int sched.shed);
-          ],
-        false )
-    | v ->
-      E.invalid_inputf
-        ~hint:("known verbs: " ^ String.concat ", " known_verbs)
-        "unknown verb %S" v
-  in
-  ok_response ~id ~verb ~cached result
+let run ?overlay state r =
+  match r.work with
+  | Ping -> ({|{"pong":true}|}, false)
+  | Evaluate { design; report_key; mc } ->
+    run_evaluate ?overlay state ~exec:r.exec ~design ~report_key mc
+  | Yield { design; analysis_key; mc } ->
+    run_yield ?overlay state ~exec:r.exec ~design ~analysis_key mc
+  | Sweep ->
+    let result, hit = run_sweep state r.params in
+    (Json.to_string result, hit)
+  | Codes ->
+    let result, hit = run_codes state r.params in
+    (Json.to_string result, hit)
+  | Check -> (Json.to_string (run_check r.params), false)
+  | Stats -> (Json.to_string (run_stats state), false)
+  | Shutdown ->
+    Atomic.set state.stopping true;
+    (* What the drain will have to finish: every other in-flight
+       request plus everything still queued (this request is the
+       [- 1]).  [shed] is the admission-control reject count so far —
+       the split between served-before-stopping and refused load. *)
+    let sched = scheduler_view state in
+    ( Json.to_string
+        (Json.Obj
+           [
+             ("stopping", Json.Bool true);
+             ("draining", Json.Int (max 0 (sched.inflight - 1) + sched.queued));
+             ("shed", Json.Int sched.shed);
+           ]),
+      false )
 
 let error_line err = Json.to_string (error_response ~id:Json.Null err)
 
-let handle_line ?overlay state line =
+let execute ?overlay state request =
   Atomic.incr state.requests;
-  let id, response =
-    match Json.parse line with
-    | Error msg ->
-      ( Json.Null,
-        Error
-          (E.Invalid_input { what = "malformed JSON request"; hint = Some msg })
-      )
-    | Ok (Json.Obj _ as json) -> (
-      let id = Option.value (Json.member "id" json) ~default:Json.Null in
-      match dispatch ?overlay state ~id json with
-      | response -> (id, Ok response)
-      | exception exn -> (
-        match Errors.classify exn with
-        | Some err -> (id, Error err)
-        | None ->
-          (* A genuine bug — but a daemon must answer, not die.  The
-             detail keeps the exception text so the bug is findable. *)
-          (id, Error (E.internal (Printexc.to_string exn)))))
-    | Ok v ->
-      ( Json.Null,
-        Error
-          (E.Invalid_input
-             {
-               what = "request must be a JSON object";
-               hint = Some (Printf.sprintf "got %s" (Json.to_string v));
-             }) )
+  let id, outcome =
+    match request with
+    | Rejected { id; err } -> (id, Error err)
+    | Ready r -> (
+      match run ?overlay state r with
+      | result, cached -> (r.id, Ok (ok_line ~id:r.id ~verb:r.verb ~cached result))
+      | exception exn -> (r.id, Error (classify_exn exn)))
   in
-  match response with
-  | Ok r -> Json.to_string r
+  match outcome with
+  | Ok line -> line
   | Error err ->
     Atomic.incr state.errors;
     Json.to_string (error_response ~id err)
+
+let handle_line ?overlay state line = execute ?overlay state (prepare state line)

@@ -70,6 +70,9 @@ type scheduler = {
   inflight : int;  (** requests executing right now *)
   queued : int;  (** requests waiting for a worker *)
   shed : int;  (** requests refused with [Overloaded] so far *)
+  inline : int;
+      (** warm hits answered on the select thread so far (never
+          queued, never shed) *)
   snapshot_age_s : float option;
       (** seconds since the last successful cache snapshot; [None]
           when persistence is off or nothing was written yet *)
@@ -112,6 +115,29 @@ val set_scheduler_probe : state -> (unit -> scheduler) option -> unit
 val known_verbs : string list
 (** ping, evaluate, yield, sweep, codes, check, stats, shutdown. *)
 
+(** {2 Request preparation} *)
+
+type request
+(** One request line, parsed, validated and keyed exactly once: its id,
+    verb and execution knobs, its design parameters and — for
+    [evaluate]/[yield] — the seed, sampling spec and artifact keys its
+    execution will read.  A line that fails to parse or validate
+    prepares into its error response.  Immutable, so it may be prepared
+    on one thread and executed on another. *)
+
+val prepare : state -> string -> request
+(** Total and cheap: never raises, never touches the artifact cache,
+    never runs Monte-Carlo work. *)
+
+val warm : state -> request -> bool
+(** [true] when the request would answer entirely from the result
+    cache right now: an [evaluate] or [yield] that is not a cache
+    bypass (fault plan, [no_degrade], deadline) and whose every read
+    artifact key — the report and the estimate of an [evaluate], the
+    analysis and the estimate of a [yield] — is resident.  A pure probe
+    (no counter moves, no recency refresh); a concurrent insert may
+    still evict a key before execution, which then rebuilds it. *)
+
 (** {2 Batch fusion} *)
 
 type fuse_plan = {
@@ -129,14 +155,16 @@ type fuse_plan = {
     mega-job and overlay the result onto the very key the request's own
     execution looks up. *)
 
+val plan_of : request -> fuse_plan option
+(** Whether the request's MC work can ride a fused batch: an MC-bearing
+    verb ([yield], or [evaluate] with [mc_samples]), no cache bypass
+    (fault plan / [no_degrade] / timeout), fixed stopping (no
+    [rel_error] on the request or the base context).  A rejected
+    request is never fusable; it takes the unfused path, which renders
+    its error unchanged. *)
+
 val classify_fusable : state -> string -> fuse_plan option
-(** [classify_fusable state line] decides whether the request line's MC
-    work can ride a fused batch: an MC-bearing verb ([yield], or
-    [evaluate] with [mc_samples]), no cache bypass (fault plan /
-    [no_degrade] / timeout), no adaptive stopping (request or base
-    context).  Total — any parse or validation failure returns [None]
-    and the request takes the unfused path, reproducing its error
-    response bytes unchanged.  Classification never executes MC work. *)
+(** [plan_of (prepare state line)]. *)
 
 type overlay = (string, Nanodec_numerics.Montecarlo.estimate) Hashtbl.t
 (** Fused results keyed by {!fuse_plan.fuse_key}, handed back to
@@ -146,11 +174,18 @@ type overlay = (string, Nanodec_numerics.Montecarlo.estimate) Hashtbl.t
     response flag are exactly what serial unbatched execution
     produces. *)
 
+(** {2 Execution} *)
+
+val execute : ?overlay:overlay -> state -> request -> string
+(** Execute a prepared request and return the response line (newline
+    not included).  Total: never raises.  [?overlay] supplies fused
+    batch results — pure overlay, never steering: with or without it
+    the response bytes are identical.  A fully cached [evaluate]/
+    [yield] splices its result bytes kept beside its artifact
+    ({!Artifact_cache.set_rendered}) instead of re-rendering them. *)
+
 val handle_line : ?overlay:overlay -> state -> string -> string
-(** [handle_line state line] executes one request line and returns the
-    response line (newline not included).  Total: never raises.
-    [?overlay] supplies fused batch results — pure overlay, never
-    steering: with or without it the response bytes are identical. *)
+(** [execute ?overlay state (prepare state line)]. *)
 
 val error_line : Nanodec_error.t -> string
 (** Render a connection-level error (no request to take an ["id"]

@@ -9,12 +9,14 @@ type address = [ `Unix of string | `Tcp of int ]
 let default_max_line_bytes = 1024 * 1024
 let default_max_inflight = 4
 let default_max_queue = 64
+let read_chunk = 65536
 
 type conn = {
   id : int;  (* completions address connections by id, not fd *)
   fd : Unix.file_descr;
   inbuf : Buffer.t;  (* bytes of the current incomplete line *)
-  mutable out : string;  (* pending response bytes *)
+  mutable out : Bytes.t;  (* [out.[sent, out_len)] is still to be written *)
+  mutable out_len : int;
   mutable sent : int;
   mutable discarding : bool;  (* inside an oversized line, until '\n' *)
   mutable closing : bool;  (* EOF seen: close once everything is answered *)
@@ -30,12 +32,13 @@ type conn = {
 }
 
 (* One admitted request, with everything its execution needs: the
-   response routing identity (conn, seq), the dispatch fault key, and —
-   when it buffered through the batch window — its fusable identity. *)
+   response routing identity (conn, seq), the prepared request, the
+   dispatch fault key, and — when it buffered through the batch window
+   — its fusable identity. *)
 type pending = {
   conn_id : int;
   seq : int;
-  line : string;
+  req : Protocol.request;
   key : int;  (* serve.dispatch fault key *)
   plan : Protocol.fuse_plan option;
 }
@@ -61,6 +64,7 @@ type sched = {
   mutable inflight : int;
   mutable outstanding : int;
   mutable shed : int;
+  inline : int Atomic.t;  (* warm hits answered on the select thread *)
   mutable stop : bool;
   mutable completions : (int * int * string) list;  (* (conn id, seq, line) *)
   mutable workers : Thread.t list;
@@ -75,6 +79,8 @@ type t = {
   max_inflight : int;
   max_queue : int;
   batcher : pending Batcher.t option;  (* Some iff batch_window_s > 0 *)
+  inline_hits : bool;  (* warm hits may run on the select thread *)
+  read_buf : Bytes.t;  (* the select thread's one read buffer *)
   idle_timeout_s : float option;
   cache_file : string option;
   snapshot_interval_s : float;
@@ -154,16 +160,16 @@ let wake t =
 (* EAGAIN: a wake byte is already pending, which is all we need;
    EBADF/EPIPE: [close] raced us, the loop is gone anyway. *)
 
-let execute_line ?overlay t ~key ~line =
+let execute_line ?overlay t ~key ~req =
   let t0 = Unix.gettimeofday () in
   let response =
     match
       Fault.hit (fault t) ~key "serve.dispatch";
-      Protocol.handle_line ?overlay t.state line
+      Protocol.execute ?overlay t.state req
     with
     | response -> response
     | exception exn -> (
-      (* [handle_line] is total, so only the dispatch probe lands
+      (* [execute] is total, so only the dispatch probe lands
          here — render it like any classified failure and keep
          serving. *)
       match Errors.classify exn with
@@ -198,7 +204,7 @@ let worker_loop t =
       t.sched.inflight <- t.sched.inflight + job_size job;
       Mutex.unlock t.sched.mutex;
       (match job with
-      | Single req -> finish t req (execute_line t ~key:req.key ~line:req.line)
+      | Single r -> finish t r (execute_line t ~key:r.key ~req:r.req)
       | Fused { ordinal; reqs } ->
         (* One shared mega-run for the batch's cold estimates, then
            each request executes (and errors, and counts) exactly as
@@ -208,7 +214,7 @@ let worker_loop t =
         let overlay = Batcher.prepare ~state:t.state ~ordinal plans in
         List.iter
           (fun r ->
-            finish t r (execute_line ?overlay t ~key:r.key ~line:r.line))
+            finish t r (execute_line ?overlay t ~key:r.key ~req:r.req))
           reqs);
       loop ()
     end
@@ -269,6 +275,7 @@ let scheduler_view t () =
     inflight;
     queued;
     shed;
+    inline = Atomic.get t.sched.inline;
     snapshot_age_s =
       Option.map (fun ts -> Unix.gettimeofday () -. ts) t.snapshot_time;
     batch;
@@ -344,6 +351,10 @@ let create ?(backlog = 16) ?(max_line_bytes = default_max_line_bytes)
         (if batch_window_s > 0. then
            Some (Batcher.create ~window_s:batch_window_s ~max_batch)
          else None);
+      (* An injected fault plan may stall or crash any request at the
+         serve.dispatch probe — never on the select thread. *)
+      inline_hits = Run_ctx.fault (Protocol.base state) = None;
+      read_buf = Bytes.create read_chunk;
       idle_timeout_s;
       cache_file;
       snapshot_interval_s;
@@ -355,6 +366,7 @@ let create ?(backlog = 16) ?(max_line_bytes = default_max_line_bytes)
           inflight = 0;
           outstanding = 0;
           shed = 0;
+          inline = Atomic.make 0;
           stop = false;
           completions = [];
           workers = [];
@@ -398,6 +410,39 @@ let close t =
 
 (* --- response ordering --- *)
 
+let append_out conn response =
+  let n = String.length response in
+  let need = conn.out_len + n + 1 in
+  if need > Bytes.length conn.out then begin
+    let grown = Bytes.create (max need (2 * Bytes.length conn.out)) in
+    Bytes.blit conn.out 0 grown 0 conn.out_len;
+    conn.out <- grown
+  end;
+  Bytes.blit_string response 0 conn.out conn.out_len n;
+  Bytes.set conn.out (need - 1) '\n';
+  conn.out_len <- need
+
+(* Everything submitted has been answered and flushed. *)
+let settled conn =
+  conn.next_write = conn.next_seq && conn.out_len = 0 && conn.sent = 0
+
+let handle_writable t conn =
+  let pending = conn.out_len - conn.sent in
+  if pending > 0 then
+    match Unix.write conn.fd conn.out conn.sent pending with
+    | n ->
+      conn.sent <- conn.sent + n;
+      if conn.sent = conn.out_len then begin
+        conn.out_len <- 0;
+        conn.sent <- 0;
+        (* Do not hold a large burst's buffer on an idle connection. *)
+        if Bytes.length conn.out > read_chunk then conn.out <- Bytes.empty;
+        if conn.closing && settled conn then drop_conn t conn
+      end
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+      -> ()
+    | exception Unix.Unix_error _ -> drop_conn t conn
+
 (* Append every response whose arrival-order predecessors are already
    out; later completions wait in [conn.pending]. *)
 let flush_ready conn =
@@ -407,7 +452,7 @@ let flush_ready conn =
     | Some response ->
       Hashtbl.remove conn.pending conn.next_write;
       conn.next_write <- conn.next_write + 1;
-      conn.out <- conn.out ^ response ^ "\n"
+      append_out conn response
     | None -> continue := false
   done
 
@@ -425,7 +470,10 @@ let drain_completions t =
   Mutex.unlock t.sched.mutex;
   (* Arrival order is restored by the per-connection sequence numbers,
      so the list order (newest first) does not matter. *)
-  List.iter (fun (conn_id, seq, r) -> complete t conn_id seq r) completions
+  List.iter (fun (conn_id, seq, r) -> complete t conn_id seq r) completions;
+  (* Write what just became ready now rather than after one more
+     select round. *)
+  if completions <> [] then List.iter (handle_writable t) t.conns
 
 let drain_wake t =
   let buf = Bytes.create 256 in
@@ -443,50 +491,61 @@ let submit t conn line =
   conn.next_seq <- seq + 1;
   let key = t.next_key in
   t.next_key <- key + 1;
-  (* Fusability is decided outside the scheduler mutex (it parses the
-     line).  Requests whose estimate key is already warm skip the
-     window entirely: buffering them would trade a cache hit's latency
-     for nothing. *)
-  let plan =
-    match t.batcher with
-    | None -> None
-    | Some _ -> (
-      match Protocol.classify_fusable t.state line with
-      | Some p
-        when not (Artifact_cache.mem (Protocol.artifacts t.state) p.Protocol.fuse_key)
-        -> Some p
-      | _ -> None)
-  in
-  let capacity = t.max_inflight + t.max_queue in
-  Mutex.lock t.sched.mutex;
-  let outstanding = t.sched.outstanding in
-  if outstanding >= capacity then begin
-    t.sched.shed <- t.sched.shed + 1;
-    Mutex.unlock t.sched.mutex;
-    Telemetry.count (sink t) "serve.shed" 1;
-    complete t conn.id seq
-      (Protocol.error_line
-         (E.Overloaded
-            { site = "serve.dispatch"; pending = outstanding; limit = capacity }))
+  let req = Protocol.prepare t.state line in
+  if t.inline_hits && Protocol.warm t.state req then begin
+    (* A warm hit is a few cache lookups and a splice: answer it here,
+       outside admission, rather than pay a worker handoff, a self-pipe
+       wakeup and a select round.  It still lands in arrival order. *)
+    Atomic.incr t.sched.inline;
+    Telemetry.count (sink t) "serve.inline" 1;
+    complete t conn.id seq (execute_line t ~key ~req)
   end
   else begin
-    t.sched.outstanding <- outstanding + 1;
-    let req = { conn_id = conn.id; seq; line; key; plan } in
-    (match (t.batcher, plan) with
-    | Some b, Some _ ->
-      Batcher.add b req ~now:(Unix.gettimeofday ());
-      if Batcher.length b >= Batcher.max_batch b then
-        flush_batch_locked t b ~reason:`Full
-      else if t.sched.outstanding = Batcher.length b then
-        (* Nothing else queued or running: holding the window would be
-           pure added latency (the serial-client case), so flush now —
-           accounted as a window flush. *)
-        flush_batch_locked t b ~reason:`Window
-    | _ ->
-      Queue.push (Single req) t.sched.jobs;
-      Condition.signal t.sched.nonempty);
-    Mutex.unlock t.sched.mutex;
-    Telemetry.record (sink t) "serve.queue_depth" (float_of_int (outstanding + 1))
+    (* Requests whose estimate is already warm skip the batch window:
+       buffering them would trade a cache hit's latency for nothing. *)
+    let plan =
+      match t.batcher with
+      | None -> None
+      | Some _ -> (
+        match Protocol.plan_of req with
+        | Some p
+          when not
+                 (Artifact_cache.mem (Protocol.artifacts t.state)
+                    p.Protocol.fuse_key) ->
+          Some p
+        | _ -> None)
+    in
+    let capacity = t.max_inflight + t.max_queue in
+    Mutex.lock t.sched.mutex;
+    let outstanding = t.sched.outstanding in
+    if outstanding >= capacity then begin
+      t.sched.shed <- t.sched.shed + 1;
+      Mutex.unlock t.sched.mutex;
+      Telemetry.count (sink t) "serve.shed" 1;
+      complete t conn.id seq
+        (Protocol.error_line
+           (E.Overloaded
+              { site = "serve.dispatch"; pending = outstanding; limit = capacity }))
+    end
+    else begin
+      t.sched.outstanding <- outstanding + 1;
+      let p = { conn_id = conn.id; seq; req; key; plan } in
+      (match (t.batcher, plan) with
+      | Some b, Some _ ->
+        Batcher.add b p ~now:(Unix.gettimeofday ());
+        if Batcher.length b >= Batcher.max_batch b then
+          flush_batch_locked t b ~reason:`Full
+        else if t.sched.outstanding = Batcher.length b then
+          (* Nothing else queued or running: holding the window would be
+             pure added latency (the serial-client case), so flush now —
+             accounted as a window flush. *)
+          flush_batch_locked t b ~reason:`Window
+      | _ ->
+        Queue.push (Single p) t.sched.jobs;
+        Condition.signal t.sched.nonempty);
+      Mutex.unlock t.sched.mutex;
+      Telemetry.record (sink t) "serve.queue_depth" (float_of_int (outstanding + 1))
+    end
   end
 
 let oversized t conn =
@@ -503,14 +562,18 @@ let oversized t conn =
             hint = Some "one JSON object per line";
           }))
 
-(* Split freshly read bytes into complete lines (dispatching each) and
-   stash the incomplete tail back into [conn.inbuf], honouring the
-   oversized-line resync state. *)
-let feed t conn data =
-  let n = String.length data in
+let rec index_newline buf i n =
+  if i >= n then None
+  else if Bytes.get buf i = '\n' then Some i
+  else index_newline buf (i + 1) n
+
+(* Split the [n] freshly read bytes of [buf] into complete lines
+   (dispatching each) and stash the incomplete tail in [conn.inbuf],
+   honouring the oversized-line resync state. *)
+let feed t conn buf n =
   let pos = ref 0 in
   while !pos < n do
-    match String.index_from_opt data !pos '\n' with
+    match index_newline buf !pos n with
     | Some nl ->
       if conn.discarding then begin
         (* Tail of an already-answered oversized line: swallow it and
@@ -519,9 +582,15 @@ let feed t conn data =
         Buffer.clear conn.inbuf
       end
       else begin
-        Buffer.add_substring conn.inbuf data !pos (nl - !pos);
-        let line = Buffer.contents conn.inbuf in
-        Buffer.clear conn.inbuf;
+        let line =
+          if Buffer.length conn.inbuf = 0 then Bytes.sub_string buf !pos (nl - !pos)
+          else begin
+            Buffer.add_subbytes conn.inbuf buf !pos (nl - !pos);
+            let line = Buffer.contents conn.inbuf in
+            Buffer.clear conn.inbuf;
+            line
+          end
+        in
         if String.length line > t.max_line_bytes then oversized t conn
         else if String.trim line <> "" then submit t conn line
       end;
@@ -531,7 +600,7 @@ let feed t conn data =
       if not conn.discarding then begin
         if Buffer.length conn.inbuf = 0 && !pos < n then
           conn.line_started <- Some (Unix.gettimeofday ());
-        Buffer.add_substring conn.inbuf data !pos (n - !pos);
+        Buffer.add_subbytes conn.inbuf buf !pos (n - !pos);
         if Buffer.length conn.inbuf > t.max_line_bytes then begin
           oversized t conn;
           conn.discarding <- true;
@@ -543,15 +612,8 @@ let feed t conn data =
 
 (* --- socket events --- *)
 
-let read_chunk = 65536
-
-(* Everything submitted has been answered and flushed. *)
-let settled conn =
-  conn.next_write = conn.next_seq && conn.out = "" && conn.sent = 0
-
 let handle_readable t conn =
-  let bytes = Bytes.create read_chunk in
-  match Unix.read conn.fd bytes 0 read_chunk with
+  match Unix.read conn.fd t.read_buf 0 read_chunk with
   | 0 ->
     (* EOF: an incomplete trailing line is dropped by design (the
        client never finished sending it), but everything already
@@ -559,25 +621,13 @@ let handle_readable t conn =
     if settled conn then drop_conn t conn else conn.closing <- true
   | n ->
     conn.last_activity <- Unix.gettimeofday ();
-    feed t conn (Bytes.sub_string bytes 0 n)
+    feed t conn t.read_buf n;
+    (* Inline answers (and sheds) are ready now: write them without
+       waiting for another select round. *)
+    handle_writable t conn
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     -> ()
   | exception Unix.Unix_error _ -> drop_conn t conn
-
-let handle_writable t conn =
-  let pending = String.length conn.out - conn.sent in
-  if pending > 0 then
-    match Unix.write_substring conn.fd conn.out conn.sent pending with
-    | n ->
-      conn.sent <- conn.sent + n;
-      if conn.sent = String.length conn.out then begin
-        conn.out <- "";
-        conn.sent <- 0;
-        if conn.closing && settled conn then drop_conn t conn
-      end
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      -> ()
-    | exception Unix.Unix_error _ -> drop_conn t conn
 
 let handle_accept t =
   match Unix.accept t.listen_fd with
@@ -590,7 +640,8 @@ let handle_accept t =
         id;
         fd;
         inbuf = Buffer.create 256;
-        out = "";
+        out = Bytes.empty;
+        out_len = 0;
         sent = 0;
         discarding = false;
         closing = false;
@@ -646,9 +697,7 @@ let drain t =
   let rec settle () =
     drain_completions t;
     let waiting = List.exists (fun c -> c.next_write < c.next_seq) t.conns in
-    let unflushed =
-      List.filter (fun c -> String.length c.out > c.sent) t.conns
-    in
+    let unflushed = List.filter (fun c -> c.out_len > c.sent) t.conns in
     if (waiting || unflushed <> []) && Unix.gettimeofday () < deadline then begin
       match
         Unix.select [ t.wake_r ] (List.map (fun c -> c.fd) unflushed) [] 0.5
@@ -712,7 +761,7 @@ let serve t =
         in
         let writes =
           List.filter_map
-            (fun c -> if String.length c.out > c.sent then Some c.fd else None)
+            (fun c -> if c.out_len > c.sent then Some c.fd else None)
             t.conns
         in
         match Unix.select reads writes [] timeout with

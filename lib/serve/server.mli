@@ -2,13 +2,14 @@
 
     One [select] loop multiplexes any number of client connections
     over a Unix-domain or loopback TCP socket and owns all socket
-    state; complete request lines are dispatched onto a bounded queue
-    served by [max_inflight] worker threads.  Concurrent execution is
-    invisible on the wire: each connection's responses are written
-    back in arrival order (later completions wait for earlier ones),
-    so every response stream is byte-identical to the serial daemon's
-    — the contract behind the CI smoke goldens and the concurrent-soak
-    determinism test.
+    state; each complete request line is prepared once
+    ({!Protocol.prepare}) and dispatched onto a bounded queue served by
+    [max_inflight] worker threads — unless it is a warm hit (below).
+    Concurrent execution is invisible on the wire: each connection's
+    responses are written back in arrival order (later completions
+    wait for earlier ones), so every response stream is byte-identical
+    to the serial daemon's — the contract behind the CI smoke goldens
+    and the concurrent-soak determinism test.
 
     {2 Admission control}
 
@@ -22,10 +23,25 @@
     submissions minus completions, the shed decision never depends on
     how quickly a worker thread happens to be scheduled.
 
+    {2 Warm hits}
+
+    An [evaluate] or [yield] that {!Protocol.warm} reports answerable
+    from the result cache — no cache bypass, every artifact key it
+    reads resident — is executed on the select thread itself when the
+    daemon runs without a fault plan: no worker handoff, no self-pipe
+    wakeup, and its bytes are written straight after the read that
+    delivered it.  It keeps the [serve.dispatch] probe key, the cache
+    accounting and the [serve.request_s] record of a dispatched
+    request, and the arrival-order response writing (behind a slower
+    earlier request it waits its turn).  Warm hits bypass admission
+    control — they never count toward [max_inflight + max_queue] and
+    are never shed — and are counted in the [serve.inline] telemetry
+    counter and the [stats] verb's [inline] field.
+
     {2 Batch fusion}
 
     With [batch_window_s > 0], fusable MC-bearing requests
-    ({!Protocol.classify_fusable}) whose estimate key is cold coalesce
+    ({!Protocol.plan_of}) whose estimate key is cold coalesce
     in a bounded window instead of dispatching one-by-one: the window
     flushes when it expires, when [max_batch] requests have buffered,
     or eagerly the moment its members are the only outstanding work
@@ -75,8 +91,8 @@
     the restart byte-identically.
 
     When the protocol state's base context carries a telemetry sink,
-    every request records its latency in the [serve.request_s]
-    histogram and bumps [serve.requests]. *)
+    every executed request (inline or dispatched) records its latency
+    in the [serve.request_s] histogram and bumps [serve.requests]. *)
 
 type address =
   [ `Unix of string  (** filesystem path of a Unix-domain socket *)

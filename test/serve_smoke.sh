@@ -7,13 +7,15 @@
 #   - a stable battery (no floating-point payloads: happy-path ping and
 #     codes, malformed JSON, an unknown verb, two validation failures)
 #     diffed against the committed golden bytes;
-#   - a numeric battery (cold + repeated Monte-Carlo evaluates and a
-#     chaos-plan yield) diffed across the two domain counts AND across
+#   - a numeric battery (cold + repeated Monte-Carlo evaluates, a
+#     chaos-plan yield, and a cold + repeated yield) diffed across the
+#     two domain counts AND across
 #     batching on/off — the daemon's answers must be byte-identical
 #     on 1 and 4 domains, fused or not.
-# On top of the diffs: the repeated evaluate must be served from the
-# cache, bit-identical to its cold bytes, and the chaos request must
-# recover the exact bytes of its uninjected twin.
+# On top of the diffs: the repeated evaluate and the repeated yield must
+# be served from the cache (a warm hit, answered on the daemon's select
+# thread), bit-identical to their cold bytes, and the chaos request
+# must recover the exact bytes of its uninjected twin.
 set -eu
 
 NANODEC="${NANODEC:-_build/default/bin/nanodec_cli.exe}"
@@ -38,6 +40,7 @@ run_battery() { # $1 = domains, $2 = output prefix, $3 = extra daemon flags
     '{"id":7,"verb":"evaluate","params":{"code":"BGC","length":8},"exec":{"seed":11,"mc_samples":300}}' \
     '{"id":8,"verb":"yield","params":{"code":"TC","length":6},"exec":{"seed":11,"mc_samples":300,"fault_plan":"seed=2009;pool.chunk:crash:p=0.3:max=10"}}' \
     '{"id":9,"verb":"yield","params":{"code":"TC","length":6},"exec":{"seed":11,"mc_samples":300}}' \
+    '{"id":10,"verb":"yield","params":{"code":"TC","length":6},"exec":{"seed":11,"mc_samples":300}}' \
     > "$2.numeric"
   "$NANODEC" client --socket "$SOCK" '{"verb":"shutdown"}' > /dev/null
   wait "$pid"
@@ -63,6 +66,12 @@ grep -q '"id":6,"status":"ok","verb":"evaluate","cached":false' "$OUT-d1.numeric
 grep -q '"id":7,"status":"ok","verb":"evaluate","cached":true' "$OUT-d1.numeric"
 cold=$(sed -n '1p' "$OUT-d1.numeric" | sed 's/"id":6/"id":7/; s/"cached":false/"cached":true/')
 warm=$(sed -n '2p' "$OUT-d1.numeric")
+[ "$cold" = "$warm" ]
+
+echo "check: repeated yield is a cache hit with the cold bytes"
+grep -q '"id":10,"status":"ok","verb":"yield","cached":true' "$OUT-d1.numeric"
+cold=$(sed -n '4p' "$OUT-d1.numeric" | sed 's/"id":9/"id":10/; s/"cached":false/"cached":true/')
+warm=$(sed -n '5p' "$OUT-d1.numeric")
 [ "$cold" = "$warm" ]
 
 echo "check: chaos plan recovers the exact uninjected bytes"

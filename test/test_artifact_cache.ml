@@ -182,8 +182,16 @@ let test_artifacts_hit_equiv_cold () =
       (Nanodec_numerics.Rng.create ~seed:7)
       ~samples:400 cold_analysis
   in
-  let e1, eh1 = Artifacts.estimate cache ~ctx ~seed:7 ~samples:400 config in
-  let e2, eh2 = Artifacts.estimate cache ~ctx ~seed:7 ~samples:400 config in
+  let estimate () =
+    Artifacts.estimate_with cache
+      ~key:(Artifacts.estimate_key ~seed:7 ~samples:400 (Cave.config_key config))
+      ~build:(fun () ->
+        Artifacts.mc_estimate cache ~ctx ~seed:7
+          ~spec:(Nanodec_numerics.Montecarlo.spec_of_ctx ~ctx ~samples:400 ())
+          ~samples:400 config)
+  in
+  let e1, eh1 = estimate () in
+  let e2, eh2 = estimate () in
   Alcotest.(check (pair bool bool)) "estimate miss then hit" (false, true)
     (eh1, eh2);
   Alcotest.(check bool) "cached estimate ≡ cold estimate" true
@@ -407,6 +415,40 @@ let test_component_keys_injective () =
        (ck ~radix:2 ~length:6 Codebook.Tree)
        (ck ~radix:3 ~length:6 Codebook.Tree))
 
+(* Rendered bytes ride beside an entry: a pure probe that moves no
+   counter, at most four views per entry, gone with the entry, never
+   part of a dump. *)
+let test_rendered_bytes_follow_their_entry () =
+  let cache = Artifact_cache.create ~capacity:2 () in
+  let get k = ignore (Artifact_cache.find_or_build cache ~key:k (fun () -> k)) in
+  get "a";
+  Artifact_cache.set_rendered cache ~key:"a" ~view:"v" "bytes-a";
+  Artifact_cache.set_rendered cache ~key:"absent" ~view:"v" "ignored";
+  Alcotest.(check (option string)) "stored beside the entry" (Some "bytes-a")
+    (Artifact_cache.rendered cache ~key:"a" ~view:"v");
+  Alcotest.(check (option string)) "other views are separate" None
+    (Artifact_cache.rendered cache ~key:"a" ~view:"w");
+  Alcotest.(check (option string)) "nothing stored for an absent key" None
+    (Artifact_cache.rendered cache ~key:"absent" ~view:"v");
+  let s = Artifact_cache.stats cache in
+  Alcotest.(check (pair int int)) "probes move no counter" (0, 1)
+    (s.Artifact_cache.hits, s.Artifact_cache.misses);
+  List.iter
+    (fun v -> Artifact_cache.set_rendered cache ~key:"a" ~view:v ("bytes-" ^ v))
+    [ "1"; "2"; "3"; "4" ];
+  Alcotest.(check (list (option string))) "the four newest views are kept"
+    [ None; Some "bytes-1"; Some "bytes-4" ]
+    (List.map
+       (fun v -> Artifact_cache.rendered cache ~key:"a" ~view:v)
+       [ "v"; "1"; "4" ]);
+  Alcotest.(check (list (pair string string))) "never dumped" [ ("a", "a") ]
+    (List.map (fun (k, _, v) -> (k, v)) (Artifact_cache.dump cache));
+  get "b";
+  get "c";
+  get "a";
+  Alcotest.(check (option string)) "evicted with the entry, not rebuilt" None
+    (Artifact_cache.rendered cache ~key:"a" ~view:"4")
+
 let suite =
   [
     Alcotest.test_case "miss then hit" `Quick test_miss_then_hit;
@@ -439,4 +481,6 @@ let suite =
       test_key_injective_oracle;
     Alcotest.test_case "component keys injective" `Quick
       test_component_keys_injective;
+    Alcotest.test_case "rendered bytes follow their entry" `Quick
+      test_rendered_bytes_follow_their_entry;
   ]

@@ -400,9 +400,9 @@ let test_no_degrade_mapping () =
 
 let serve_in_thread ?max_line_bytes ?max_inflight ?max_queue ?batch_window_s
     ?max_batch ?idle_timeout_s ?cache_file ?snapshot_interval_s ?sink ?fault
-    ?(domains = 2) ?cache_enabled address k =
+    ?(domains = 2) ?cache_enabled ?cache_capacity address k =
   Run_ctx.with_ctx ?telemetry:sink ?fault ~domains @@ fun ctx ->
-  let state = Protocol.make_state ?cache_enabled ~base:ctx () in
+  let state = Protocol.make_state ?cache_enabled ?cache_capacity ~base:ctx () in
   let server =
     Server.create ?max_line_bytes ?max_inflight ?max_queue ?batch_window_s
       ?max_batch ?idle_timeout_s ?cache_file ?snapshot_interval_s ~state
@@ -768,8 +768,9 @@ let soak_requests =
       {|{"verb":"yield","params":{"code":"BGC","length":8},"exec":{"seed":5,"mc_samples":200,"fault_plan":"seed=2009;pool.chunk:delay=2ms:p=0.5;mc.sample_batch:delay=1ms:p=0.3"}}|};
     ]
 
-let run_soak ?batch_window_s ?cache_enabled ?(warmup = true) ~domains () =
-  serve_in_thread ?batch_window_s ?cache_enabled ~domains (`Tcp 0)
+let run_soak ?batch_window_s ?cache_enabled ?sink ?(warmup = true)
+    ?(requests = fun _ -> soak_requests) ~domains () =
+  serve_in_thread ?batch_window_s ?cache_enabled ?sink ~domains (`Tcp 0)
   @@ fun address ->
   (* Warmup: prime the cache so the soak responses all carry
      cached=true and are therefore byte-comparable.  Skipped for the
@@ -785,13 +786,46 @@ let run_soak ?batch_window_s ?cache_enabled ?(warmup = true) ~domains () =
           (fun () ->
             Client.with_connection address @@ fun conn ->
             results.(i) <-
-              List.map (fun line -> Client.request conn line) soak_requests)
+              List.map (fun line -> Client.request conn line) (requests i))
           ())
   in
   List.iter Thread.join clients;
   (Client.with_connection address @@ fun conn ->
    ignore (Client.request conn {|{"verb":"shutdown"}|}));
   Array.to_list results
+
+(* A cold-then-warm soak: each client owns its estimate keys (its own
+   seeds), so its first [yield] and [evaluate] are misses and their
+   repeats — four of its seven requests — are warm hits answered on the
+   select thread, while the fault-plan request keeps a worker busy.
+   Every client's stream is deterministic: the byte-for-byte answer a
+   fresh [Protocol.handle_line] state gives the same lines. *)
+let warm_repeat_requests i =
+  let y =
+    Printf.sprintf
+      {|{"id":"y%d","verb":"yield","params":{"code":"BGC","length":8},"exec":{"seed":%d,"mc_samples":200}}|}
+      i (100 + i)
+  in
+  let e =
+    Printf.sprintf
+      {|{"id":"e%d","verb":"evaluate","params":{"code":"TC","length":8},"exec":{"seed":%d,"mc_samples":200}}|}
+      i (200 + i)
+  in
+  [ y; e; y; List.nth soak_requests 4; e; y; e ]
+
+let warm_repeats_per_client = 4
+
+let serial_reference requests =
+  with_state @@ fun state -> List.map (Protocol.handle_line state) requests
+
+let check_warm_repeat_soak ~what results =
+  List.iteri
+    (fun i responses ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s: client %d = serial handle_line bytes" what i)
+        (serial_reference (warm_repeat_requests i))
+        responses)
+    results
 
 let test_concurrent_soak_deterministic () =
   let soak1 = run_soak ~domains:1 () in
@@ -813,7 +847,10 @@ let test_concurrent_soak_deterministic () =
 (* Batch fusion is pure scheduling: the same soak (including its
    fault-plan request, which is unfusable and rides the Single path
    through a batching daemon) with a 2 ms window must produce the same
-   bytes as the unbatched daemon, at domains 1 and 4 alike. *)
+   bytes as the unbatched daemon, at domains 1 and 4 alike.  The
+   cold-then-warm soak, whose warm repeats answer inline while cold
+   requests fuse or dispatch, must match a serial run in all four
+   configurations. *)
 let test_batched_soak_identical () =
   let reference = List.hd (run_soak ~domains:1 ()) in
   List.iter
@@ -825,7 +862,16 @@ let test_batched_soak_identical () =
                domains i)
             reference responses)
         (run_soak ~batch_window_s:0.002 ~domains ()))
-    [ 1; 4 ]
+    [ 1; 4 ];
+  List.iter
+    (fun (domains, batch_window_s) ->
+      check_warm_repeat_soak
+        ~what:
+          (Printf.sprintf "warm-repeat soak, domains=%d, batching %s" domains
+             (if batch_window_s = None then "off" else "on"))
+        (run_soak ?batch_window_s ~warmup:false ~requests:warm_repeat_requests
+           ~domains ()))
+    [ (1, None); (1, Some 0.002); (4, None); (4, Some 0.002) ]
 
 (* With the result cache disabled every request is a fresh cold build,
    so concurrent duplicates actually fuse — and the bytes still cannot
@@ -1028,6 +1074,166 @@ let test_stats_batch_view () =
     true
     (int_member "flush_window" batch >= 1)
 
+(* --- inline warm hits --- *)
+
+let stats_line = {|{"verb":"stats"}|}
+
+(* What a serial run and a daemon must agree on in a [stats] result:
+   the request/error counts, the cache counters and the resident keys
+   (build and saved seconds are timings). *)
+let stats_identity r =
+  let result = expect_ok r in
+  let cache = member "cache" result in
+  ( List.map
+      (fun f -> (f, int_member f result))
+      [ "requests"; "errors" ]
+    @ List.map
+        (fun f -> (f, int_member f cache))
+        [ "capacity"; "entries"; "hits"; "misses"; "evictions" ],
+    Json.to_string (member "keys" result) )
+
+let inline_count r = int_member "inline" (member "serve" (expect_ok r))
+
+(* A daemon whose context carries a fault plan never answers inline —
+   and every context picks up NANODEC_FAULT_PLAN, which the chaos CI
+   job exports for the whole suite. *)
+let expected_inline n = if Fault.of_env () = None then n else 0
+
+(* The inline warm test covers every artifact key a request reads, not
+   only its estimate.  A small cache evicts an [evaluate]'s report (or a
+   [yield]'s analysis) while its estimate stays resident; such a repeat
+   must take a worker, which rebuilds the evicted artifact — answering
+   it inline would run [Design.evaluate] or [Cave.analyze] on the select
+   thread.  Responses and cache accounting equal a serial run's. *)
+let test_warm_check_covers_every_read () =
+  let evaluate =
+    {|{"verb":"evaluate","params":{"code":"BGC","length":8},"exec":{"seed":5,"mc_samples":200}}|}
+  in
+  let yield_ =
+    {|{"verb":"yield","params":{"code":"HC","length":6},"exec":{"seed":6,"mc_samples":200}}|}
+  in
+  let codes = {|{"verb":"codes","params":{"code":"AHC","length":6,"count":4}}|} in
+  List.iter
+    (fun (what, cache_capacity, lines, repeat) ->
+      (* The scenario: right before the repeat, its estimate is
+         resident but the request as a whole is not warm. *)
+      let reference =
+        Run_ctx.with_ctx ~domains:2 @@ fun ctx ->
+        let state = Protocol.make_state ~cache_capacity ~base:ctx () in
+        let responses =
+          List.map (fun l -> Protocol.handle_line state l) lines
+        in
+        let req = Protocol.prepare state repeat in
+        (match Protocol.plan_of req with
+        | Some p ->
+          Alcotest.(check bool) (what ^ ": estimate still resident") true
+            (Artifact_cache.mem (Protocol.artifacts state) p.Protocol.fuse_key)
+        | None -> Alcotest.fail "repeat unexpectedly unfusable");
+        Alcotest.(check bool) (what ^ ": repeat is not warm") false
+          (Protocol.warm state req);
+        responses
+        @ List.map (Protocol.handle_line state) [ repeat; stats_line ]
+      in
+      List.iter
+        (fun batch_window_s ->
+          serve_in_thread ?batch_window_s ~cache_capacity (`Tcp 0)
+          @@ fun address ->
+          Client.with_connection address @@ fun conn ->
+          let responses =
+            List.map (Client.request conn) (lines @ [ repeat; stats_line ])
+          in
+          ignore (Client.request conn {|{"verb":"shutdown"}|});
+          let n = List.length responses in
+          Alcotest.(check (list string))
+            (what ^ ": responses byte-identical to the serial run")
+            (List.filteri (fun i _ -> i < n - 1) reference)
+            (List.filteri (fun i _ -> i < n - 1) responses);
+          let stats = parse_response (List.nth responses (n - 1)) in
+          Alcotest.(check int) (what ^ ": the repeat went through a worker") 0
+            (inline_count stats);
+          let expected_counts, expected_keys =
+            stats_identity (parse_response (List.nth reference (n - 1)))
+          in
+          let counts, keys = stats_identity stats in
+          Alcotest.(check (list (pair string int)))
+            (what ^ ": cache stats equal the serial run")
+            expected_counts counts;
+          Alcotest.(check string) (what ^ ": resident keys equal the serial run")
+            expected_keys keys)
+        [ None; Some 0.002 ])
+    [
+      (* report, nu, analysis, kernel, estimate: the fifth insert evicts
+         the report *)
+      ("evaluate", 4, [ evaluate ], evaluate);
+      (* nu, analysis, kernel, estimate, then the codes' words: the
+         second eviction takes the analysis *)
+      ("yield", 3, [ yield_; codes ], yield_);
+    ]
+
+(* A warm hit answered inline still waits its turn: one write carrying a
+   cold [yield], a warm [evaluate] and a [ping] comes back in arrival
+   order, the inline answer held in [pending] until the cold one is
+   written. *)
+let test_inline_hit_keeps_arrival_order () =
+  let warm =
+    {|{"id":2,"verb":"evaluate","params":{"code":"BGC","length":8},"exec":{"seed":7,"mc_samples":200}}|}
+  in
+  let cold =
+    {|{"id":1,"verb":"yield","params":{"code":"TC","length":8},"exec":{"seed":9,"mc_samples":20000}}|}
+  in
+  let ping = {|{"id":3,"verb":"ping"}|} in
+  let reference = serial_reference [ warm; cold; warm; ping ] in
+  List.iter
+    (fun batch_window_s ->
+      serve_in_thread ?batch_window_s (`Tcp 0) @@ fun address ->
+      Client.with_connection address (fun conn ->
+          Alcotest.(check string) "warm-up is the cold evaluate"
+            (List.nth reference 0) (Client.request conn warm));
+      let fd = raw_connect address in
+      let payload = String.concat "\n" [ cold; warm; ping ] ^ "\n" in
+      ignore (Unix.write_substring fd payload 0 (String.length payload));
+      let ic = Unix.in_channel_of_descr fd in
+      let responses = List.init 3 (fun _ -> input_line ic) in
+      Unix.close fd;
+      Alcotest.(check (list string)) "arrival order, serial bytes"
+        (List.tl reference) responses;
+      Client.with_connection address @@ fun conn ->
+      let stats = parse_response (Client.request conn stats_line) in
+      Alcotest.(check int) "exactly the warm evaluate ran inline"
+        (expected_inline 1) (inline_count stats);
+      ignore (Client.request conn {|{"verb":"shutdown"}|}))
+    [ None; Some 0.002 ]
+
+(* Telemetry is a pure observer of the inline path too: the cold-then-
+   warm soak answers the same bytes with a sink as without, counts its
+   inline hits exactly, and records every request — inline or not — in
+   the [serve.request_s] histogram. *)
+let test_inline_telemetry_transparent () =
+  let bare = run_soak ~warmup:false ~requests:warm_repeat_requests ~domains:2 () in
+  let sink = Telemetry.create () in
+  let traced =
+    run_soak ~sink ~warmup:false ~requests:warm_repeat_requests ~domains:2 ()
+  in
+  Alcotest.(check (list (list string))) "telemetry on = telemetry off" bare traced;
+  check_warm_repeat_soak ~what:"traced soak" traced;
+  let clients = List.length traced in
+  Alcotest.(check int) "serve.inline counts every warm repeat"
+    (expected_inline (clients * warm_repeats_per_client))
+    (Option.value ~default:0
+       (List.assoc_opt "serve.inline" (Telemetry.counters sink)));
+  (* every soak request plus the shutdown *)
+  let executed = 1 + List.fold_left (fun a r -> a + List.length r) 0 traced in
+  Alcotest.(check (option int)) "serve.requests counts inline hits"
+    (Some executed)
+    (List.assoc_opt "serve.requests" (Telemetry.counters sink));
+  let request_s =
+    List.find
+      (fun h -> h.Telemetry.hs_name = "serve.request_s")
+      (Telemetry.histograms sink)
+  in
+  Alcotest.(check int) "serve.request_s population unchanged" executed
+    request_s.Telemetry.hs_count
+
 let suite =
   [
     Alcotest.test_case "ping round trip" `Quick test_ping;
@@ -1095,4 +1301,10 @@ let suite =
       test_batched_soak_uncached_identical;
     Alcotest.test_case "batched soak under fault plans = fault-free bytes"
       `Quick test_batched_soak_under_fault_identical;
+    Alcotest.test_case "inline warm test covers every read key" `Quick
+      test_warm_check_covers_every_read;
+    Alcotest.test_case "inline hit keeps arrival order" `Quick
+      test_inline_hit_keeps_arrival_order;
+    Alcotest.test_case "telemetry on = off across inline hits" `Quick
+      test_inline_telemetry_transparent;
   ]
