@@ -13,11 +13,16 @@
        acceptance window.}}
 
     {!draw} then executes one sample as a linear sweep over [targets]
-    into a preallocated, domain-local scratch plane (obtained through
-    {!Nanodec_parallel.Workspace}), using the unboxed {!Rng.Fast} mirror
-    of the caller's generator — no per-sample matrix, list or closure
-    allocation — and scans each usable wire's row with an early exit at
-    the first region outside the window.
+    into a preallocated scratch plane, using the unboxed {!Rng.Fast}
+    mirror of the caller's generator — no per-sample matrix, list or
+    closure allocation — and scans each usable wire's row with an early
+    exit at the first region outside the window.  The plane and the
+    mirror, block buffers included, belong to one (domain, thread)
+    through {!Nanodec_parallel.Workspace}, so concurrent draws never
+    share them.  {!Rng.Fast.add_gaussians} draws the noise in blocks:
+    accepted polar pairs first, then their polar factors, then the
+    scatter into the plane in target order — the same stream, bit for
+    bit, as one {!Rng.Fast.gaussian_std} call per target.
 
     The Gaussian draw order, the [sigma_base <> 0.] gate and the window
     comparison are replicated exactly, so a kernelized estimate is

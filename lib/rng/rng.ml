@@ -41,19 +41,23 @@ let mix_seed a b =
 let advance rng =
   rng.state <- Int64.add (Int64.mul rng.state pcg_multiplier) rng.increment
 
-(* PCG-XSH-RR output function. *)
-let output state =
-  let xorshifted =
-    Int64.to_int
-      (Int64.logand
-         (Int64.shift_right_logical
-            (Int64.logxor (Int64.shift_right_logical state 18) state)
-            27)
-         0xFFFFFFFFL)
+(* PCG-XSH-RR output function, computed in Int64 so the rotate needs no
+   tagged-int shifts once inlined into a hot loop.  The 32-bit rotate
+   right is a 64-bit shift of the word written twice side by side, which
+   also covers [rot = 0]. *)
+let[@inline] output state =
+  let x =
+    Int64.logand
+      (Int64.shift_right_logical
+         (Int64.logxor (Int64.shift_right_logical state 18) state)
+         27)
+      0xFFFFFFFFL
   in
   let rot = Int64.to_int (Int64.shift_right_logical state 59) in
-  let rotated = (xorshifted lsr rot) lor (xorshifted lsl (32 - rot)) in
-  rotated land 0xFFFFFFFF
+  Int64.to_int
+    (Int64.logand
+       (Int64.shift_right_logical (Int64.logor x (Int64.shift_left x 32)) rot)
+       0xFFFFFFFFL)
 
 let uint32 rng =
   let s = rng.state in
@@ -142,12 +146,20 @@ let gaussian ?(mu = 0.) ?(sigma = 1.) rng =
 module Fast = struct
   type rng = t
 
+  (* Accepted polar pairs drawn per block of [add_gaussians]. *)
+  let block = 64
+
   type t = {
     st : (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t;
     (* st.{0} = PCG state, st.{1} = stream increment (odd). *)
     spare : float array;
     (* Length 1: the polar method's cached second variate, unboxed. *)
     mutable has_spare : bool;
+    bu : float array;
+    bv : float array;
+    bq : float array;
+    (* Length [block]: one block's accepted (u, v, q) triples; [bq] is
+       overwritten in place by the polar factor. *)
   }
 
   let create () =
@@ -155,6 +167,9 @@ module Fast = struct
       st = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout 2;
       spare = [| 0. |];
       has_spare = false;
+      bu = Array.make block 0.;
+      bv = Array.make block 0.;
+      bq = Array.make block 0.;
     }
 
   let load fast (rng : rng) =
@@ -170,26 +185,24 @@ module Fast = struct
     rng.state <- Bigarray.Array1.unsafe_get fast.st 0;
     rng.spare <- (if fast.has_spare then Some fast.spare.(0) else None)
 
-  (* Same step/output as [uint32], written against the Bigarray state so
-     the int64 arithmetic stays unboxed without flambda. *)
-  let[@inline] uint32 fast =
+  (* [float]'s value for the draw at state [s]. *)
+  let[@inline] unit_of_state s = float_of_int (output s) *. 0x1p-32
+
+  (* [2. *. unit_of_state s -. 1.], the polar method's coordinate, in one
+     conversion and one multiply.  Both forms are exact (every value is
+     a multiple of 2^-31 of magnitude at most 1), so the bits agree. *)
+  let[@inline] coord_of_state s =
+    float_of_int (output s - 0x80000000) *. 0x1p-31
+
+  (* Advance the mirrored state; return the state the draw reads. *)
+  let[@inline] step fast =
     let s = Bigarray.Array1.unsafe_get fast.st 0 in
     Bigarray.Array1.unsafe_set fast.st 0
       (Int64.add (Int64.mul s pcg_multiplier)
          (Bigarray.Array1.unsafe_get fast.st 1));
-    let xorshifted =
-      Int64.to_int
-        (Int64.logand
-           (Int64.shift_right_logical
-              (Int64.logxor (Int64.shift_right_logical s 18) s)
-              27)
-           0xFFFFFFFFL)
-    in
-    let rot = Int64.to_int (Int64.shift_right_logical s 59) in
-    let rotated = (xorshifted lsr rot) lor (xorshifted lsl (32 - rot)) in
-    rotated land 0xFFFFFFFF
+    s
 
-  let[@inline] float fast = float_of_int (uint32 fast) *. 0x1p-32
+  let[@inline] float fast = unit_of_state (step fast)
 
   let gaussian_std fast =
     if fast.has_spare then begin
@@ -198,8 +211,8 @@ module Fast = struct
     end
     else
       let rec loop () =
-        let u = (2. *. float fast) -. 1. in
-        let v = (2. *. float fast) -. 1. in
+        let u = coord_of_state (step fast) in
+        let v = coord_of_state (step fast) in
         let s = (u *. u) +. (v *. v) in
         if s >= 1. || s = 0. then loop ()
         else begin
@@ -216,9 +229,13 @@ module Fast = struct
          noise.(targets.(t)) <- noise.(targets.(t))
                                 +. sigma *. gaussian_std fast
        done
-     but with the polar pair loop written out here so the PCG step
-     inlines into it and the spare flag is only touched at the run's
-     boundaries — the stream consumed is identical bit for bit. *)
+     and consuming the identical stream, bit for bit.  The PCG state
+     lives in a local for the whole run, and each block of up to
+     [block] pairs goes through three branch-light stages: draw exactly
+     the accepted (u, v, q) triples the run still needs (every triple is
+     written, the slot only advances on acceptance), turn every q into
+     its polar factor in one call-dense loop, then scatter the variates
+     in target order. *)
   let add_gaussians fast ~sigma targets noise =
     let n = Array.length targets in
     let t = ref 0 in
@@ -230,30 +247,62 @@ module Fast = struct
         +. (sigma *. Array.unsafe_get fast.spare 0));
       t := 1
     end;
-    while !t < n do
-      let u = (2. *. float fast) -. 1. in
-      let v = (2. *. float fast) -. 1. in
-      let s = (u *. u) +. (v *. v) in
-      if s < 1. && s <> 0. then begin
-        let factor = sqrt (-2. *. log s /. s) in
-        let idx = Array.unsafe_get targets !t in
-        Array.unsafe_set noise idx
-          (Array.unsafe_get noise idx +. (sigma *. (u *. factor)));
-        incr t;
-        if !t < n then begin
-          let idx = Array.unsafe_get targets !t in
+    if !t < n then begin
+      let bu = fast.bu and bv = fast.bv and bq = fast.bq in
+      let inc = Bigarray.Array1.unsafe_get fast.st 1 in
+      let s = ref (Bigarray.Array1.unsafe_get fast.st 0) in
+      while !t < n do
+        let remaining = n - !t in
+        let pairs = Int.min block ((remaining + 1) / 2) in
+        let k = ref 0 in
+        while !k < pairs do
+          let s0 = !s in
+          let s1 = Int64.add (Int64.mul s0 pcg_multiplier) inc in
+          s := Int64.add (Int64.mul s1 pcg_multiplier) inc;
+          let u = coord_of_state s0 in
+          let v = coord_of_state s1 in
+          let q = (u *. u) +. (v *. v) in
+          Array.unsafe_set bu !k u;
+          Array.unsafe_set bv !k v;
+          Array.unsafe_set bq !k q;
+          (* q is a sum of squares, never NaN, so [q > 0.] is the
+             reference's [q <> 0.]. *)
+          k := !k + (Bool.to_int (q < 1.) land Bool.to_int (q > 0.))
+        done;
+        for i = 0 to pairs - 1 do
+          let q = Array.unsafe_get bq i in
+          Array.unsafe_set bq i (sqrt (-2. *. log q /. q))
+        done;
+        (* Only the run's last block can end on half a pair. *)
+        let full = Int.min pairs (remaining / 2) in
+        let t0 = !t in
+        for i = 0 to full - 1 do
+          let f = Array.unsafe_get bq i in
+          let idx = Array.unsafe_get targets (t0 + (2 * i)) in
           Array.unsafe_set noise idx
-            (Array.unsafe_get noise idx +. (sigma *. (v *. factor)));
-          incr t
-        end
-        else begin
+            (Array.unsafe_get noise idx
+            +. (sigma *. (Array.unsafe_get bu i *. f)));
+          let idx = Array.unsafe_get targets (t0 + (2 * i) + 1) in
+          Array.unsafe_set noise idx
+            (Array.unsafe_get noise idx
+            +. (sigma *. (Array.unsafe_get bv i *. f)))
+        done;
+        t := t0 + (2 * full);
+        if full < pairs then begin
           (* Odd run: cache the raw second variate exactly as
              [gaussian_std] would. *)
-          Array.unsafe_set fast.spare 0 (v *. factor);
-          fast.has_spare <- true
+          let f = Array.unsafe_get bq full in
+          let idx = Array.unsafe_get targets !t in
+          Array.unsafe_set noise idx
+            (Array.unsafe_get noise idx
+            +. (sigma *. (Array.unsafe_get bu full *. f)));
+          Array.unsafe_set fast.spare 0 (Array.unsafe_get bv full *. f);
+          fast.has_spare <- true;
+          t := n
         end
-      end
-    done
+      done;
+      Bigarray.Array1.unsafe_set fast.st 0 !s
+    end
 end
 
 let shuffle rng a =

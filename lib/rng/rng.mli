@@ -67,12 +67,16 @@ val gaussian : ?mu:float -> ?sigma:float -> t -> float
 
     The public {!t} keeps its boxed representation because every consumer
     and the determinism contract depend on it; [Fast] is a scratch state
-    with an unboxed int64 word and a flat float spare, for inner loops
-    that draw thousands of Gaussians per sample.  Mirror discipline:
-    {!Fast.load} the source generator, draw, then {!Fast.store} back —
-    the source is left exactly where the equivalent {!gaussian} calls
-    would have left it, and the values drawn in between are bit-for-bit
-    the same stream. *)
+    with an unboxed int64 word, a flat float spare and the block buffers
+    of {!Fast.add_gaussians}, for inner loops that draw thousands of
+    Gaussians per sample.  Mirror discipline: {!Fast.load} the source
+    generator, draw, then {!Fast.store} back — the source is left exactly
+    where the equivalent {!gaussian} calls would have left it, and the
+    values drawn in between are bit-for-bit the same stream.
+
+    A [Fast.t] is mutable scratch and must never be shared between
+    threads or domains: give each (domain, thread) its own, as
+    [Nanodec_parallel.Workspace] does for the compiled kernels. *)
 module Fast : sig
   type rng := t
 
@@ -100,10 +104,19 @@ module Fast : sig
     t -> sigma:float -> int array -> float array -> unit
   (** [add_gaussians fast ~sigma targets noise] adds
       [sigma *. gaussian_std fast] to [noise.(targets.(t))] for each
-      [t] in order, consuming exactly the stream the per-call form
-      would, but with the polar pair loop fused in so no call or spare
-      check remains per draw.  Indices must be within [noise]; they are
-      not checked. *)
+      [t] in order.  It consumes exactly the stream of that per-call
+      loop and leaves the same state and spare behind, so every value
+      is bit-for-bit the same; only the schedule differs.  The PCG state
+      stays in a local for the whole call, and the run is drawn in
+      blocks, each in three stages:
+      {ol
+      {- draw exactly the accepted polar pairs [(u, v, q)] the run
+         still needs, accepting without a branch;}
+      {- turn each [q] into its polar factor in one loop;}
+      {- add the scaled variates in target order (an odd run caches
+         the last pair's second variate as the spare).}}
+      Repeated indices accumulate in target order.  Indices must be
+      within [noise]; they are not checked. *)
 end
 
 val shuffle : t -> 'a array -> unit

@@ -126,6 +126,100 @@ let test_fast_mirror_stream () =
       (Rng.float a = Rng.float b)
   done
 
+(* --- Rng.Fast.add_gaussians is the per-call stream, bit for bit --- *)
+
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* The written-out per-call form [add_gaussians] must reproduce. *)
+let add_gaussians_per_call fast ~sigma targets noise =
+  Array.iter
+    (fun idx ->
+      noise.(idx) <- noise.(idx) +. (sigma *. Rng.Fast.gaussian_std fast))
+    targets
+
+(* Run [runs] (a list of sigma, targets) back to back through one mirror
+   loaded from a fresh [seed] generator — after [pre] plain gaussian
+   draws, so an odd [pre] carries a spare in — then store it back.
+   Returns the noise plane and the stored generator. *)
+let run_mirror add ~seed ~pre ~cells runs =
+  let rng = Rng.create ~seed in
+  for _ = 1 to pre do
+    ignore (Rng.gaussian rng)
+  done;
+  let fast = Rng.Fast.create () in
+  let noise = Array.make cells 0. in
+  Rng.Fast.load fast rng;
+  List.iter (fun (sigma, targets) -> add fast ~sigma targets noise) runs;
+  Rng.Fast.store fast rng;
+  (noise, rng)
+
+let check_same_stream label ~seed ~pre ~cells runs =
+  let bulk, a =
+    run_mirror Rng.Fast.add_gaussians ~seed ~pre ~cells runs
+  in
+  let per_call, b = run_mirror add_gaussians_per_call ~seed ~pre ~cells runs in
+  Alcotest.(check bool) (label ^ ": noise bits") true (bits_equal bulk per_call);
+  (* The stored generators agree: state, and the spare carried out. *)
+  Alcotest.(check bool)
+    (label ^ ": gaussian after")
+    true
+    (bits_equal [| Rng.gaussian a; Rng.gaussian a |]
+       [| Rng.gaussian b; Rng.gaussian b |]);
+  Alcotest.(check bool)
+    (label ^ ": float after")
+    true
+    (bits_equal [| Rng.float a |] [| Rng.float b |])
+
+let test_add_gaussians_stream () =
+  (* 2 * 64 + 3 runs past the block size of the blocked loop, from both
+     sides of a block boundary; the large runs cross many blocks with an
+     odd and an even tail. *)
+  let lengths = List.init 132 Fun.id @ [ 999; 1000; 4095; 4096 ] in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun pre ->
+          let label = Printf.sprintf "n=%d pre=%d" n pre in
+          (* One run over distinct cells, as the plane sweep does. *)
+          check_same_stream (label ^ " plane") ~seed:(n + 1) ~pre ~cells:n
+            [ (0.05, Array.init n Fun.id) ];
+          (* Implant targets then the plane, back to back on one mirror
+             as [Kernel.fill_noise] runs them; the targets repeat cells,
+             which pins the per-cell addition order. *)
+          let cells = 7 in
+          let pick = Rng.create ~seed:(1000 + n) in
+          let targets = Array.init n (fun _ -> Rng.int pick cells) in
+          check_same_stream (label ^ " targets+plane") ~seed:(n + 2) ~pre
+            ~cells
+            [ (0.05, targets); (0.01, Array.init cells Fun.id) ])
+        [ 0; 1 ])
+    lengths
+
+let test_fast_float_stream () =
+  (* 10^5 uniforms: the state's top five bits (the rotate amount) hit
+     every value, 0 included, thousands of times.  [Rng.float] and
+     [Fast.float] share the PCG output function, so the stream is also
+     pinned by a checksum taken with the earlier tagged-int rotate. *)
+  let a = Rng.create ~seed:7 and b = Rng.create ~seed:7 in
+  let fast = Rng.Fast.create () in
+  Rng.Fast.load fast b;
+  let xs = Array.init 100_000 (fun _ -> Rng.float a) in
+  let ys = Array.init 100_000 (fun _ -> Rng.Fast.float fast) in
+  Rng.Fast.store fast b;
+  Alcotest.(check bool) "Fast.float bits" true (bits_equal xs ys);
+  let checksum =
+    Array.fold_left
+      (fun acc x ->
+        ((acc * 31) + int_of_float (x *. 0x1p32)) land 0x3FFFFFFFFFFFFFFF)
+      0 xs
+  in
+  Alcotest.(check int) "golden checksum" 0x246da1b27db7fa42 checksum;
+  Alcotest.(check int) "uint32 after" (Rng.uint32 a) (Rng.uint32 b)
+
 (* --- satellite: sort-based pass extraction pins the historical order --- *)
 
 let test_pass_order_regression () =
@@ -241,6 +335,10 @@ let suite =
       test_kernel_draw_accounting;
     Alcotest.test_case "Rng.Fast mirrors the gaussian stream" `Quick
       test_fast_mirror_stream;
+    Alcotest.test_case "Fast.add_gaussians is the per-call stream" `Quick
+      test_add_gaussians_stream;
+    Alcotest.test_case "Fast.float is Rng.float over 10^5 draws" `Quick
+      test_fast_float_stream;
     Alcotest.test_case "pass order regression (sort-based dedup)" `Quick
       test_pass_order_regression;
     Alcotest.test_case "pass eps merge keeps first occurrence" `Quick
