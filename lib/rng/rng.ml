@@ -146,8 +146,15 @@ let gaussian ?(mu = 0.) ?(sigma = 1.) rng =
 module Fast = struct
   type rng = t
 
-  (* Accepted polar pairs drawn per block of [add_gaussians]. *)
-  let block = 64
+  (* Accepted polar pairs drawn per block of [add_gaussians].  Wider
+     blocks run more [log] calls side by side, which is faster on an
+     idle core but makes the speed depend on whatever else shares the
+     core.  Measured on a shared 2-vCPU Xeon host, 300-target runs
+     interleaved: 64 pairs took 7.3-12.7 ns per Gaussian as the
+     co-runner load came and went, 2 pairs 14.8-17.5 ns, the per-pair
+     loop 24-25 ns.  Two pairs stay fast and nearly as steady as the
+     per-pair loop. *)
+  let block = 2
 
   type t = {
     st : (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t;
@@ -234,8 +241,7 @@ module Fast = struct
      [block] pairs goes through three branch-light stages: draw exactly
      the accepted (u, v, q) triples the run still needs (every triple is
      written, the slot only advances on acceptance), turn every q into
-     its polar factor in one call-dense loop, then scatter the variates
-     in target order. *)
+     its polar factor, then scatter the variates in target order. *)
   let add_gaussians fast ~sigma targets noise =
     let n = Array.length targets in
     let t = ref 0 in

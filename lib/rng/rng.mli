@@ -108,7 +108,9 @@ module Fast : sig
       loop and leaves the same state and spare behind, so every value
       is bit-for-bit the same; only the schedule differs.  The PCG state
       stays in a local for the whole call, and the run is drawn in
-      blocks, each in three stages:
+      blocks of two accepted pairs (wider blocks are faster on an idle
+      core, but their speed swings with the load on a shared one), each
+      in three stages:
       {ol
       {- draw exactly the accepted polar pairs [(u, v, q)] the run
          still needs, accepting without a branch;}

@@ -175,9 +175,9 @@ let check_same_stream label ~seed ~pre ~cells runs =
     (bits_equal [| Rng.float a |] [| Rng.float b |])
 
 let test_add_gaussians_stream () =
-  (* 2 * 64 + 3 runs past the block size of the blocked loop, from both
-     sides of a block boundary; the large runs cross many blocks with an
-     odd and an even tail. *)
+  (* Lengths 0-131 cover every run shape up to 2 * 64 + 3: both sides of
+     a block boundary for any block size up to 64 (the loop uses 2); the
+     large runs cross many blocks with an odd and an even tail. *)
   let lengths = List.init 132 Fun.id @ [ 999; 1000; 4095; 4096 ] in
   List.iter
     (fun n ->
