@@ -338,7 +338,7 @@ let parallel_workloads ~quick =
                 Nanodec_crossbar.Cave.analyze spec.Design.cave
               in
               let e =
-                Nanodec_crossbar.Cave.mc_yield_window_par ?ctx
+                Nanodec_crossbar.Cave.mc_yield_window ?ctx
                   (Rng.create ~seed:2009) ~samples:mc_samples analysis
               in
               (label ct m, e.Montecarlo.mean))
@@ -614,7 +614,7 @@ let gate_parallel_speedup ~threshold (fig7_speedup_4d, all_deterministic) =
 
 (* --- kernel bench: BENCH_kernels.json + --gate-kernel-speedup ---
 
-   Times the compiled MC kernel (Cave.mc_yield_window_par, pool-less)
+   Times the compiled MC kernel (Cave.mc_yield_window, pool-less)
    against the allocating reference draw (Cave.mc_yield_window_reference)
    on every Fig. 7 candidate design: same seed, same chunking, same
    sample count, best-of-N wall time on both sides.  Every pair of
@@ -648,7 +648,7 @@ let run_kernel_json ~quick =
           (Cave.mc_yield_window_reference (Rng.create ~seed:2009) ~samples:16
              analysis);
         ignore
-          (Cave.mc_yield_window_par (Rng.create ~seed:2009) ~samples:16
+          (Cave.mc_yield_window (Rng.create ~seed:2009) ~samples:16
              analysis);
         let reference, t_ref =
           time_best ~reps (fun () ->
@@ -657,7 +657,7 @@ let run_kernel_json ~quick =
         in
         let kernelized, t_ker =
           time_best ~reps (fun () ->
-              Cave.mc_yield_window_par (Rng.create ~seed:2009) ~samples
+              Cave.mc_yield_window (Rng.create ~seed:2009) ~samples
                 analysis)
         in
         let identical = reference = kernelized in

@@ -327,7 +327,7 @@ let evaluate_cmd =
         let analysis = Nanodec_crossbar.Cave.analyze spec.Design.cave in
         let seed = Run_ctx.seed ctx in
         let e =
-          Nanodec_crossbar.Cave.mc_yield_window_par ~ctx
+          Nanodec_crossbar.Cave.mc_yield_window ~ctx
             (Rng.create ~seed)
             ~samples:(Run_ctx.mc_samples ctx)
             analysis

@@ -21,7 +21,7 @@ module Telemetry = Nanodec_telemetry.Telemetry
 module Run_ctx = Nanodec_parallel.Run_ctx
 
 let sweep ?ctx ~parameter ~unit_name ~values ~apply () =
-  let ctx = Run_ctx.resolve ?ctx () in
+  let ctx = Option.value ctx ~default:Run_ctx.sequential in
   let base = { Cave.default_config with Cave.code_length = 8 } in
   let points =
     Telemetry.with_span (Run_ctx.telemetry ctx) ("ablation." ^ parameter)

@@ -91,7 +91,7 @@ module Run_ctx = Nanodec_parallel.Run_ctx
    from the execution context, wrap the
    whole figure in a span, fan the points out in candidate order. *)
 let figure_points ?ctx name point candidates =
-  let ctx = Run_ctx.resolve ?ctx () in
+  let ctx = Option.value ctx ~default:Run_ctx.sequential in
   Telemetry.with_span (Run_ctx.telemetry ctx) name @@ fun () ->
   Run_ctx.map_list ctx point candidates
 

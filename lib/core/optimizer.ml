@@ -28,7 +28,7 @@ module Run_ctx = Nanodec_parallel.Run_ctx
 
 let sweep ?ctx ?(spec = Design.default_spec)
     ?(candidates = default_candidates) () =
-  let ctx = Run_ctx.resolve ?ctx () in
+  let ctx = Option.value ctx ~default:Run_ctx.sequential in
   let tel = Run_ctx.telemetry ctx in
   let evaluate { code_type; code_length } =
     Telemetry.with_span tel "optimizer.evaluate" @@ fun () ->

@@ -62,7 +62,7 @@ let best_point ?ctx node raw_bits =
    submitting domain — same results, and the pool's inline-submission
    counter now makes that path visible. *)
 let sweep_grid ?ctx name point items =
-  let ctx = Run_ctx.resolve ?ctx () in
+  let ctx = Option.value ctx ~default:Run_ctx.sequential in
   Telemetry.with_span (Run_ctx.telemetry ctx) name @@ fun () ->
   Run_ctx.map_list ctx (point ctx) items
 

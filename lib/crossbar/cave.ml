@@ -173,14 +173,14 @@ let kernel_of_analysis analysis =
     ~usable:(Array.map is_usable analysis.layout.Geometry.statuses)
     (passes_of_analysis analysis)
 
-let mc_yield_window_par ?ctx ?spec ?kernel rng ~samples analysis =
+let mc_yield_window ?ctx ?spec ?kernel rng ~samples analysis =
   (* Everything the chunk bodies share — here, the whole compiled pass
      program — is computed before the fan-out; the bodies only read it
      (and mutate their own stream and domain-local scratch).  [?kernel]
      lets a caller holding the compiled program (the serve artifact
      cache) skip the per-call compile; the kernel is pure, so the
      estimate is identical either way. *)
-  let ctx = Nanodec_parallel.Run_ctx.resolve ?ctx () in
+  let ctx = Option.value ctx ~default:Nanodec_parallel.Run_ctx.sequential in
   let tel = Nanodec_parallel.Run_ctx.telemetry ctx in
   let kernel =
     match kernel with
@@ -213,14 +213,10 @@ let mc_yield_window_par ?ctx ?spec ?kernel rng ~samples analysis =
 let mc_yield_window_reference ?ctx rng ~samples analysis =
   let passes = passes_of_analysis analysis in
   let w = window analysis.config in
-  Montecarlo.estimate_par ?ctx rng ~samples
-    (mc_window_draw analysis ~passes ~w)
-
-let mc_yield_window ?spec rng ~samples analysis =
-  let kernel = kernel_of_analysis analysis in
-  match spec with
-  | None -> Montecarlo.estimate rng ~samples (Kernel.draw kernel)
-  | Some spec -> Montecarlo.run spec rng (Kernel.target kernel)
+  Montecarlo.run ?ctx
+    (Montecarlo.spec (Montecarlo.fixed samples))
+    rng
+    (Montecarlo.target (mc_window_draw analysis ~passes ~w))
 
 let mc_yield_functional rng ~samples analysis =
   let passes = passes_of_analysis analysis in
@@ -260,4 +256,5 @@ let mc_yield_functional rng ~samples analysis =
       groups;
     float_of_int !good /. float_of_int n
   in
-  Montecarlo.estimate rng ~samples one_draw
+  Montecarlo.run (Montecarlo.spec (Montecarlo.fixed samples)) rng
+    (Montecarlo.target one_draw)

@@ -76,21 +76,6 @@ val kernel_of_analysis : analysis -> Kernel.t
     share the kernel across any number of estimates and domains. *)
 
 val mc_yield_window :
-  ?spec:Montecarlo.spec -> Rng.t -> samples:int -> analysis ->
-  Montecarlo.estimate
-(** Monte-Carlo re-estimate of the analytic yield by sampling fabrication
-    noise through the process simulator and applying the window test.
-    Runs on the compiled {!Kernel}.  Without [?spec], the plain
-    single-stream sequential estimator; with one, [Montecarlo.run] on
-    the kernel's full {!Kernel.target} ([samples] is then ignored in
-    favour of the spec's stopping rule). *)
-
-val mc_yield_functional :
-  Rng.t -> samples:int -> analysis -> Montecarlo.estimate
-(** Monte-Carlo yield under the full electrical semantics: a wire counts
-    when it is the unique conductor of its pad under its own address. *)
-
-val mc_yield_window_par :
   ?ctx:Nanodec_parallel.Run_ctx.t ->
   ?spec:Montecarlo.spec ->
   ?kernel:Kernel.t ->
@@ -98,27 +83,33 @@ val mc_yield_window_par :
   samples:int ->
   analysis ->
   Montecarlo.estimate
-(** Chunked window-yield estimate on {!Montecarlo.run}, running the
-    compiled {!Kernel}: the result is bit-for-bit identical for every
-    chunking, batch size and domain count (including [pool = None])
-    {e and} — on the plain strategy — to {!mc_yield_window_reference}
-    of the same arguments, though it differs from the single-stream
-    {!mc_yield_window} of the same seed.  All shared state (the
-    compiled pass program) is computed once before the fan-out, never
-    per chunk; chunk bodies only read it, drawing into domain-local
-    workspace scratch.
+(** Monte-Carlo re-estimate of the analytic yield by sampling fabrication
+    noise and applying the window test, on {!Montecarlo.run} over the
+    compiled {!Kernel}'s {!Kernel.target}.  The result is bit-for-bit
+    identical for every chunking, batch size and domain count (including
+    no context at all) {e and} — on the plain strategy — to
+    {!mc_yield_window_reference} of the same arguments.  All shared
+    state (the compiled pass program) is computed once before the
+    fan-out, never per chunk; chunk bodies only read it, drawing into
+    domain-local workspace scratch.
 
     The sampling configuration resolves in order: an explicit [?spec]
-    wins; otherwise the context's [mc_method]/[rel_error] knobs build
-    one through {!Montecarlo.spec_of_ctx} with [samples] as the fixed
-    count (or the adaptive cap).  [?ctx] also supplies pool, chunking
+    wins ([samples] is then ignored in favour of its stopping rule);
+    otherwise the context's [mc_method]/[rel_error] knobs build one
+    through {!Montecarlo.spec_of_ctx} with [samples] as the fixed count
+    (or the adaptive cap).  [?ctx] (default
+    {!Nanodec_parallel.Run_ctx.sequential}) also supplies pool, chunking
     policy and telemetry (spans [kernel.compile] and
     [cave.mc_yield_window], counter [kernel.samples] — counted {e
     after} the run, since adaptive stopping makes the spent count an
     output).  [?kernel] supplies a pre-compiled {!kernel_of_analysis}
     of the same analysis (the serve artifact cache holds one), skipping
-    the per-call compile; the estimate is identical either way.  The
-    pool rides inside [?ctx] ([Run_ctx.make ~pool ()]). *)
+    the per-call compile; the estimate is identical either way. *)
+
+val mc_yield_functional :
+  Rng.t -> samples:int -> analysis -> Montecarlo.estimate
+(** Monte-Carlo yield under the full electrical semantics: a wire counts
+    when it is the unique conductor of its pad under its own address. *)
 
 val mc_yield_window_reference :
   ?ctx:Nanodec_parallel.Run_ctx.t ->
@@ -127,7 +118,7 @@ val mc_yield_window_reference :
   analysis ->
   Montecarlo.estimate
 (** The pre-kernel allocating implementation of
-    {!mc_yield_window_par} — a fresh N×M noise matrix and pass-list walk
+    {!mc_yield_window} — a fresh N×M noise matrix and pass-list walk
     per sample.  Kept as the executable specification: the
     [kernel ≡ reference] oracle and the kernel bench gate compare
     against it, and it is the baseline of `BENCH_kernels.json`. *)

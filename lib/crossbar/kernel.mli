@@ -1,6 +1,6 @@
 (** Compiled Monte-Carlo yield kernels.
 
-    {!Cave.mc_yield_window}'s reference draw allocates an N×M noise
+    {!Cave.mc_yield_window_reference}'s draw allocates an N×M noise
     matrix and re-walks the pass/mask lists for every sample.  A kernel
     pre-compiles all of that, once, into a flat {e pass program}:
 
@@ -101,4 +101,4 @@ val draw_importance : t -> shift:float -> Rng.t -> float
 val target : t -> Nanodec_numerics.Montecarlo.target
 (** The fully-equipped Monte-Carlo target of this kernel: {!draw} as
     the plain integrand plus all three strategy evaluators — what
-    {!Cave.mc_yield_window_par} hands to [Montecarlo.run]. *)
+    {!Cave.mc_yield_window} hands to [Montecarlo.run]. *)

@@ -68,5 +68,5 @@ let read t ~row ~col =
 let crosspoint_usable t ~row ~col = Result.is_ok (check t ~row ~col)
 
 let mc_realized_yield rng ~samples config =
-  Montecarlo.estimate rng ~samples (fun rng ->
-      realized_yield (create rng config))
+  Montecarlo.run (Montecarlo.spec (Montecarlo.fixed samples)) rng
+    (Montecarlo.target (fun rng -> realized_yield (create rng config)))

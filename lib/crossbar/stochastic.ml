@@ -51,7 +51,8 @@ let mc_unique_fraction rng ~samples ~omega ~group_size =
     Array.iter (fun code -> if counts.(code) = 1 then incr unique) draws;
     float_of_int !unique /. float_of_int group_size
   in
-  Montecarlo.estimate rng ~samples one_draw
+  Montecarlo.run (Montecarlo.spec (Montecarlo.fixed samples)) rng
+    (Montecarlo.target one_draw)
 
 let stochastic_loss ~omega ~group_size =
   let a = analyze ~omega ~group_size in

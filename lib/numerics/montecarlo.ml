@@ -17,29 +17,16 @@ let of_mean_se ~samples ~mean ~std_error =
     ci95_high = mean +. (z95 *. std_error);
   }
 
-let estimate_proportion rng ~samples f =
-  if samples < 2 then
-    invalid_arg "Montecarlo.estimate_proportion: need >= 2 samples";
-  let hits = ref 0 in
-  for _ = 1 to samples do
-    if f rng then incr hits
-  done;
-  let n = float_of_int samples in
-  let p = float_of_int !hits /. n in
-  let std_error = sqrt (p *. (1. -. p) /. n) in
-  of_mean_se ~samples ~mean:p ~std_error
-
 (* --- the unified estimator ---
 
    One engine runs every (strategy x stopping rule) combination.  The
-   determinism contract is unchanged from the chunked estimators it
-   replaces: every sample owns its own split stream ([Rng.split_n]) and
-   its own result slot, and the slots are folded sequentially in sample
-   order once the fan-out joins.  The estimate is therefore a pure
-   function of (seed, spec, target): chunk count, batch size, domain
-   count and scheduling order can all move freely — including per
-   machine, via {!Nanodec_parallel.Autotune} — without touching a
-   single result bit.  Chunks are contiguous sample ranges and a chunk
+   determinism contract: every sample owns its own split stream
+   ([Rng.split_n]) and its own result slot, and the slots are folded
+   sequentially in sample order once the fan-out joins.  The estimate
+   is therefore a pure function of (seed, spec, target): chunk count,
+   batch size, domain count and scheduling order can all move freely —
+   including per machine, via {!Nanodec_parallel.Autotune} — without
+   touching a single result bit.  Chunks are contiguous sample ranges and a chunk
    body is idempotent (slot writes, stream restarted per sample), so
    the pool's retry/degradation recovery reproduces the uninjected run
    exactly.
@@ -91,9 +78,10 @@ let until_rel_error ?(min_samples = default_min_samples)
 let spec ?(strategy = Plain) stopping = { strategy; stopping }
 
 let spec_of_ctx ?ctx ~samples () =
-  let strategy = Run_ctx.mc_method_of ctx in
+  let ctx = Option.value ctx ~default:Run_ctx.sequential in
+  let strategy = Run_ctx.mc_method ctx in
   let stopping =
-    match Run_ctx.rel_error_of ctx with
+    match Run_ctx.rel_error ctx with
     | None -> Fixed_samples samples
     | Some rel_error ->
       (* [samples] becomes the adaptive cap: --mc-samples N --rel-error R
@@ -207,9 +195,7 @@ let align_samples strategy n =
     (n + k - 1) / k * k
   | Plain | Antithetic | Importance _ -> n
 
-(* --- scheduling scaffolding (unchanged discipline) --- *)
-
-let default_chunks = 64
+(* --- scheduling scaffolding --- *)
 
 (* One scratch generator per domain, allocated on first use and re-aimed
    ([Rng.copy_into]) at a fresh split stream for every sample — the hot
@@ -228,18 +214,20 @@ let chunk_lo ~samples ~chunks i =
    [pool.autotune.*] — fixed plans are the caller's decision, not the
    tuner's.  The context's [batch] overrides the plan's batch either
    way. *)
-let resolve_plan ?ctx ~pool ~samples () =
-  let tel = Run_ctx.telemetry_of ctx in
+let resolve_plan ~ctx ~samples =
+  let tel = Run_ctx.telemetry ctx in
   let plan =
-    match Run_ctx.chunking_of ctx with
+    match Run_ctx.chunking ctx with
     | Run_ctx.Fixed c -> { Autotune.chunks = c; batch = 1; per_sample_ns = None }
     | Run_ctx.Auto ->
-      let domains = match pool with Some p -> Pool.domains p | None -> 1 in
+      let domains =
+        match Run_ctx.pool ctx with Some p -> Pool.domains p | None -> 1
+      in
       let plan = Autotune.plan ?telemetry:tel ~domains ~samples () in
       Autotune.record tel plan;
       plan
   in
-  match Run_ctx.batch_of ctx with
+  match Run_ctx.batch ctx with
   | Some b -> { plan with Autotune.batch = b }
   | None -> plan
 
@@ -247,11 +235,11 @@ let resolve_plan ?ctx ~pool ~samples () =
    each chunk into [mc.chunk_s], probe the [mc.sample_batch] fault site
    per chunk, count the samples and record the round's rate.  [body i]
    fills the sample slots of chunk [i] and must be restartable. *)
-let run_chunks ?ctx ~pool ~chunks ~batch ~samples body =
-  let tel = Run_ctx.telemetry_of ctx in
-  let fault = Run_ctx.fault_of ctx in
-  let timeout_s = Option.bind ctx Run_ctx.timeout_s in
-  let cancel = Option.bind ctx Run_ctx.cancel in
+let run_chunks ~ctx ~chunks ~batch ~samples body =
+  let tel = Run_ctx.telemetry ctx in
+  let fault = Run_ctx.fault ctx in
+  let timeout_s = Run_ctx.timeout_s ctx in
+  let cancel = Run_ctx.cancel ctx in
   let body =
     match fault with
     | None -> body
@@ -274,7 +262,7 @@ let run_chunks ?ctx ~pool ~chunks ~batch ~samples body =
   in
   Telemetry.with_span tel "mc.estimate_par" @@ fun () ->
   let t0 = match tel with Some s -> Telemetry.now s | None -> 0. in
-  (match pool with
+  (match Run_ctx.pool ctx with
   | Some pool -> Pool.parallel_for ?timeout_s ?cancel ~batch pool ~chunks body
   | None ->
     (* Pool-less runs still recover from injected crashes: bounded
@@ -377,11 +365,11 @@ let converged ~rel_error acc =
 
 let run ?ctx s rng target =
   validate_spec "Montecarlo.run" s;
-  let pool = Run_ctx.pool_of ctx in
+  let ctx = Option.value ctx ~default:Run_ctx.sequential in
   let eval = evaluator s target in
   let acc = make_acc s.strategy in
   let run_round ~base streams round_n =
-    let plan = resolve_plan ?ctx ~pool ~samples:round_n () in
+    let plan = resolve_plan ~ctx ~samples:round_n in
     let chunks = plan.Autotune.chunks and batch = plan.Autotune.batch in
     let values = Array.make round_n 0. in
     let body i =
@@ -398,14 +386,12 @@ let run ?ctx s rng target =
         values.(s) <- eval ~index:(base + s) g
       done
     in
-    run_chunks ?ctx ~pool ~chunks ~batch ~samples:round_n body;
+    run_chunks ~ctx ~chunks ~batch ~samples:round_n body;
     merge_round acc ~base values
   in
   (match s.stopping with
   | Fixed_samples n ->
-    (* One round, streams split directly off the caller's generator —
-       for [Plain] this reproduces the historical estimate_par bits
-       exactly (same split_n, same slots, same merge). *)
+    (* One round, streams split directly off the caller's generator. *)
     let n = align_samples s.strategy n in
     run_round ~base:0 (Rng.split_n rng n) n
   | Until_rel_error { rel_error; min_samples; max_samples } ->
@@ -451,7 +437,7 @@ let run_many ?ctx items =
   let k = Array.length items in
   if k = 0 then [||]
   else begin
-    let pool = Run_ctx.pool_of ctx in
+    let ctx = Option.value ctx ~default:Run_ctx.sequential in
     let len = Array.make k 0 in
     let streams_of = Array.make k [||] in
     let eval_of = Array.make k (fun ~index:_ _ -> 0.) in
@@ -479,7 +465,7 @@ let run_many ?ctx items =
       total := !total + len.(i)
     done;
     let total = !total in
-    let plan = resolve_plan ?ctx ~pool ~samples:total () in
+    let plan = resolve_plan ~ctx ~samples:total in
     let chunks = plan.Autotune.chunks and batch = plan.Autotune.batch in
     let body i =
       let g = Workspace.get scratch_rng in
@@ -508,7 +494,7 @@ let run_many ?ctx items =
         done
       end
     in
-    run_chunks ?ctx ~pool ~chunks ~batch ~samples:total body;
+    run_chunks ~ctx ~chunks ~batch ~samples:total body;
     Array.mapi
       (fun i (s, _, _) ->
         let acc = make_acc s.strategy in
@@ -516,44 +502,6 @@ let run_many ?ctx items =
         estimate_of_acc acc)
       items
   end
-
-(* --- legacy API: one definition site over [run] --- *)
-
-let estimate rng ~samples f =
-  if samples < 2 then invalid_arg "Montecarlo.estimate: need >= 2 samples";
-  run { strategy = Plain; stopping = Fixed_samples samples } rng (target f)
-
-let estimate_par ?ctx rng ~samples f =
-  if samples < 2 then
-    invalid_arg "Montecarlo.estimate_par: need >= 2 samples";
-  let ctx = Run_ctx.resolve ?ctx () in
-  run ~ctx { strategy = Plain; stopping = Fixed_samples samples } rng
-    (target f)
-
-let estimate_proportion_par ?ctx rng ~samples f =
-  if samples < 2 then
-    invalid_arg "Montecarlo.estimate_proportion_par: need >= 2 samples";
-  let ctx = Run_ctx.resolve ?ctx () in
-  let pool = Run_ctx.pool ctx in
-  let plan = resolve_plan ~ctx ~pool ~samples () in
-  let chunks = plan.Autotune.chunks and batch = plan.Autotune.batch in
-  let streams = Rng.split_n rng samples in
-  let hits = Bytes.make samples '\000' in
-  let body i =
-    let g = Workspace.get scratch_rng in
-    for s = chunk_lo ~samples ~chunks i to chunk_lo ~samples ~chunks (i + 1) - 1
-    do
-      Rng.copy_into streams.(s) ~into:g;
-      Bytes.unsafe_set hits s (if f g then '\001' else '\000')
-    done
-  in
-  run_chunks ~ctx ~pool ~chunks ~batch ~samples body;
-  let count = ref 0 in
-  Bytes.iter (fun c -> if c <> '\000' then incr count) hits;
-  let n = float_of_int samples in
-  let p = float_of_int !count /. n in
-  let std_error = sqrt (p *. (1. -. p) /. n) in
-  of_mean_se ~samples ~mean:p ~std_error
 
 let within e x = x >= e.ci95_low && x <= e.ci95_high
 

@@ -2,9 +2,9 @@
 
     One engine, one entry point: {!run} executes a {!spec} — a sampling
     {!strategy} crossed with a {!stopping} rule — against a {!target}.
-    The historical {!estimate}/{!estimate_par} survive as thin wrappers
-    over [run] with the plain/fixed spec, proven equivalent by the
-    proptest oracle suite.
+    A plain fixed-count estimate of an integrand [f] is
+    [run (spec (fixed n)) rng (target f)]; {!run_many} fuses several
+    such estimates into one fan-out.
 
     {2 Determinism contract}
 
@@ -145,10 +145,8 @@ val run :
     scheduling policy (chunking/batch — wall-clock only) and the
     telemetry sink (span [mc.estimate_par], per-chunk histogram
     [mc.chunk_s], counter [mc.samples], rate [mc.samples_per_sec]);
-    the spec supplies everything numeric.
-
-    [run ?ctx (spec (fixed n)) rng (target f)] is bit-for-bit
-    [estimate_par ?ctx rng ~samples:n f].
+    the spec supplies everything numeric.  Without [?ctx] it runs
+    sequentially under {!Nanodec_parallel.Run_ctx.sequential}.
 
     Raises [Invalid_argument] on a malformed spec (fewer than 2
     samples, strata < 2, non-positive importance shift, rel_error
@@ -171,54 +169,6 @@ val run_many :
     Raises [Invalid_argument] if any item is malformed or uses
     {!Until_rel_error} stopping (adaptive rounds cannot share a
     fan-out). *)
-
-(** {1 Sequential estimators} *)
-
-val estimate : Rng.t -> samples:int -> (Rng.t -> float) -> estimate
-(** [estimate rng ~samples f] — {!run} with the plain/fixed spec and no
-    context.  [samples] must be at least 2.  Uses the same per-sample
-    split-stream discipline as {!estimate_par}, so the two agree
-    bit-for-bit on the same seed. *)
-
-val estimate_proportion : Rng.t -> samples:int -> (Rng.t -> bool) -> estimate
-(** Bernoulli specialisation: the standard error uses the Wilson-style
-    p(1-p)/n variance, never larger than the generic estimator's.
-    Single-stream, sequential-only. *)
-
-(** {1 Domain-parallel chunked estimators}
-
-    Thin wrappers over {!run} with [spec = plain/fixed], kept for the
-    existing call sites.  Scheduling comes entirely from the context:
-    [Run_ctx.Fixed n] pins the chunk count, [Auto] (the default) lets
-    {!Nanodec_parallel.Autotune} size chunks and batches from the
-    sink's measured per-sample cost, and the context's [batch]
-    overrides the plan's batch either way.  All of it moves wall-clock
-    time only, never results. *)
-
-val default_chunks : int
-(** 64 — the autotuner's fallback chunk floor (see
-    {!Nanodec_parallel.Autotune}): comfortably more chunks than any
-    realistic pool has domains, so telemetry-off runs still
-    load-balance. *)
-
-val estimate_par :
-  ?ctx:Nanodec_parallel.Run_ctx.t ->
-  Rng.t ->
-  samples:int ->
-  (Rng.t -> float) ->
-  estimate
-(** Chunked {!estimate}.  [samples] must be at least 2.  The pool (if
-    any) rides inside [?ctx] ([Run_ctx.make ~pool ()]). *)
-
-val estimate_proportion_par :
-  ?ctx:Nanodec_parallel.Run_ctx.t ->
-  Rng.t ->
-  samples:int ->
-  (Rng.t -> bool) ->
-  estimate
-(** Chunked {!estimate_proportion}; the per-sample hits are exact
-    booleans, so the count is exact in any order (folded in sample
-    order anyway, for uniformity).  The pool rides inside [?ctx]. *)
 
 val within : estimate -> float -> bool
 (** [within e x] tests whether [x] lies inside the 95 % interval of [e]. *)

@@ -27,6 +27,22 @@ type t = {
 let default_seed = 2009
 let default_mc_samples = 4000
 
+let sequential =
+  {
+    pool = None;
+    seed = default_seed;
+    mc_samples = default_mc_samples;
+    telemetry = None;
+    fault = None;
+    timeout_s = None;
+    cancel = None;
+    chunking = Auto;
+    batch = None;
+    mc_method = Plain;
+    rel_error = None;
+    owns_pool = false;
+  }
+
 (* Shared by [make] and [with_request], so both surfaces reject the new
    Monte-Carlo knobs with identical messages. *)
 let check_mc_knobs ~who ~mc_method ~rel_error ~batch =
@@ -127,14 +143,6 @@ let batch t = t.batch
 let mc_method t = t.mc_method
 let rel_error t = t.rel_error
 
-let pool_of = function None -> None | Some t -> t.pool
-let telemetry_of = function None -> None | Some t -> t.telemetry
-let fault_of = function None -> None | Some t -> t.fault
-let chunking_of = function None -> Auto | Some t -> t.chunking
-let batch_of = function None -> None | Some t -> t.batch
-let mc_method_of = function None -> Plain | Some t -> t.mc_method
-let rel_error_of = function None -> None | Some t -> t.rel_error
-
 let map_list t f xs =
   Pool.map_list_opt ?timeout_s:t.timeout_s ?cancel:t.cancel t.pool f xs
 
@@ -191,25 +199,3 @@ let with_request ~base ?seed ?mc_samples ?timeout_s ?fault ?chunking
     with_ctx ~domains ~seed ~mc_samples ?telemetry:base.telemetry ?fault
       ?timeout_s ~chunking ?batch:base.batch ~mc_method ?rel_error ~degrade
       ~warn f
-
-let resolve ?ctx ?pool () =
-  match ctx with
-  | Some c -> (
-    match c.pool, pool with
-    | None, Some _ -> { c with pool; owns_pool = false }
-    | _ -> c)
-  | None ->
-    {
-      pool;
-      seed = default_seed;
-      mc_samples = default_mc_samples;
-      telemetry = None;
-      fault = None;
-      timeout_s = None;
-      cancel = None;
-      chunking = Auto;
-      batch = None;
-      mc_method = Plain;
-      rel_error = None;
-      owns_pool = false;
-    }

@@ -68,6 +68,13 @@ val default_seed : int
 val default_mc_samples : int
 (** 4000 — the full-resolution Monte-Carlo workload of the bench. *)
 
+val sequential : t
+(** The context every [?ctx] consumer falls back to when none is given:
+    no pool, {!default_seed}, {!default_mc_samples}, [Auto] chunking,
+    {!Plain} sampling, and no telemetry, fault engine, deadline or
+    cancellation.  A constant: unlike {!make} it never reads
+    [NANODEC_FAULT_PLAN]. *)
+
 val make :
   ?domains:int ->
   ?pool:Pool.t ->
@@ -148,23 +155,6 @@ val batch : t -> int option
 val mc_method : t -> mc_method
 val rel_error : t -> float option
 
-val pool_of : t option -> Pool.t option
-(** [pool_of ctx] through an optional context — the spelling used by
-    [?ctx] consumers. *)
-
-val telemetry_of : t option -> Nanodec_telemetry.Telemetry.sink option
-val fault_of : t option -> Nanodec_fault.Fault.t option
-
-val chunking_of : t option -> chunking
-(** [Auto] without a context. *)
-
-val batch_of : t option -> int option
-
-val mc_method_of : t option -> mc_method
-(** {!Plain} without a context. *)
-
-val rel_error_of : t option -> float option
-
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_list ctx f xs] maps through the context's pool (or
     sequentially without one), threading the context's deadline and
@@ -207,11 +197,3 @@ val with_request :
     honours it, matching what a standalone run of the request would
     see.  Raises [Invalid_argument] on a non-positive [timeout_s],
     negative [mc_samples] or [Fixed n < 1], like {!make}. *)
-
-val resolve : ?ctx:t -> ?pool:Pool.t -> unit -> t
-(** Back-compatibility shim for entry points that still accept the
-    deprecated [?pool] argument next to [?ctx]: the context wins, a
-    bare pool is wrapped into a default context, and when the context
-    has no pool of its own the bare pool fills the slot.  Note the
-    environment fault plan does {e not} activate here — only {!make}
-    reads it. *)

@@ -361,23 +361,15 @@ let chunked_mc_domain_invariance =
        (int_range 1 4))
     (fun (seed, (samples, chunks), domains) ->
       let f rng = Rng.gaussian rng +. Rng.float rng in
-      let p rng = Rng.float rng < 0.5 in
+      let run ctx =
+        Montecarlo.run ~ctx
+          (Montecarlo.spec (Montecarlo.fixed samples))
+          (Rng.create ~seed) (Montecarlo.target f)
+      in
       let chunking = Nanodec_parallel.Run_ctx.Fixed chunks in
-      let seq_ctx = Nanodec_parallel.Run_ctx.make ~chunking () in
-      let sequential =
-        Montecarlo.estimate_par ~ctx:seq_ctx (Rng.create ~seed) ~samples f
-      in
-      let sequential_prop =
-        Montecarlo.estimate_proportion_par ~ctx:seq_ctx (Rng.create ~seed)
-          ~samples p
-      in
+      let sequential = run (Nanodec_parallel.Run_ctx.make ~chunking ()) in
       Nanodec_parallel.Pool.with_pool ~domains (fun pool ->
-          let ctx = Nanodec_parallel.Run_ctx.make ~pool ~chunking () in
-          Montecarlo.estimate_par ~ctx (Rng.create ~seed) ~samples f
-          = sequential
-          && Montecarlo.estimate_proportion_par ~ctx (Rng.create ~seed)
-               ~samples p
-             = sequential_prop))
+          run (Nanodec_parallel.Run_ctx.make ~pool ~chunking ()) = sequential))
 
 (* --- Telemetry (pure-observer contract) --- *)
 
@@ -396,13 +388,12 @@ let telemetry_transparency =
     (fun (seed, (samples, chunks), dexp) ->
       let domains = 1 lsl dexp (* 1, 2, 4 or 8 *) in
       let f rng = Rng.gaussian rng +. Rng.float rng in
-      let p rng = Rng.float rng < 0.5 in
       let run ?telemetry () =
         Run_ctx.with_ctx ~domains ?telemetry
           ~chunking:(Run_ctx.Fixed chunks) (fun ctx ->
-            ( Montecarlo.estimate_par ~ctx (Rng.create ~seed) ~samples f,
-              Montecarlo.estimate_proportion_par ~ctx (Rng.create ~seed)
-                ~samples p ))
+            Montecarlo.run ~ctx
+              (Montecarlo.spec (Montecarlo.fixed samples))
+              (Rng.create ~seed) (Montecarlo.target f))
       in
       let bare = run () in
       let sink = Telemetry.create () in
@@ -425,26 +416,26 @@ let autotune_value_invariance =
        (pair (int_range 1 4) (int_range 1 48)))
     (fun (seed, (samples, chunks), (domains, batch)) ->
       let f rng = Rng.gaussian rng +. Rng.float rng in
+      let run ctx =
+        Montecarlo.run ~ctx
+          (Montecarlo.spec (Montecarlo.fixed samples))
+          (Rng.create ~seed) (Montecarlo.target f)
+      in
       let fixed =
-        let ctx = Run_ctx.make ~chunking:(Run_ctx.Fixed chunks) ~batch () in
-        Montecarlo.estimate_par ~ctx (Rng.create ~seed) ~samples f
+        run (Run_ctx.make ~chunking:(Run_ctx.Fixed chunks) ~batch ())
       in
       let module Autotune = Nanodec_parallel.Autotune in
       let runnable (p : Autotune.plan) = p.chunks >= 1 && p.batch >= 1 in
       runnable (Autotune.plan ~domains ~samples ())
-      && Run_ctx.with_ctx ~domains (fun ctx ->
-             Montecarlo.estimate_par ~ctx (Rng.create ~seed) ~samples f
-             = fixed)
+      && Run_ctx.with_ctx ~domains (fun ctx -> run ctx = fixed)
       &&
       let sink = Telemetry.create () in
       Run_ctx.with_ctx ~domains ~telemetry:sink (fun ctx ->
           (* Warm the sink so the second estimate plans from measured
              cost, then re-check plan sanity and value identity. *)
-          ignore
-            (Montecarlo.estimate_par ~ctx (Rng.create ~seed) ~samples f);
+          ignore (run ctx);
           runnable (Autotune.plan ~telemetry:sink ~domains ~samples ())
-          && Montecarlo.estimate_par ~ctx (Rng.create ~seed) ~samples f
-             = fixed))
+          && run ctx = fixed))
 
 let telemetry_span_well_formedness =
   Property.make
@@ -508,7 +499,9 @@ let fault_probes_inert =
       let run ?fault () =
         Run_ctx.with_ctx ~domains ?fault ~warn:false
           ~chunking:(Run_ctx.Fixed chunks) (fun ctx ->
-            Montecarlo.estimate_par ~ctx (Rng.create ~seed) ~samples f)
+            Montecarlo.run ~ctx
+              (Montecarlo.spec (Montecarlo.fixed samples))
+              (Rng.create ~seed) (Montecarlo.target f))
       in
       let engine = Fault.inert () in
       let r = run () = run ~fault:engine () in
@@ -536,7 +529,9 @@ let fault_injection_transparency =
       let run ?fault () =
         Run_ctx.with_ctx ~domains ?fault ~warn:false
           ~chunking:(Run_ctx.Fixed chunks) (fun ctx ->
-            Montecarlo.estimate_par ~ctx (Rng.create ~seed) ~samples f)
+            Montecarlo.run ~ctx
+              (Montecarlo.spec (Montecarlo.fixed samples))
+              (Rng.create ~seed) (Montecarlo.target f))
       in
       let plan =
         Fault.parse_exn
@@ -579,7 +574,7 @@ let kernel_reference_equivalence =
         let kernel =
           run ~domains ?fault:(Option.map (fun f -> f ()) fault)
             (fun ~ctx rng ~samples a ->
-              Cave.mc_yield_window_par ~ctx rng ~samples a)
+              Cave.mc_yield_window ~ctx rng ~samples a)
         in
         let reference =
           run ~domains ?fault:(Option.map (fun f -> f ()) fault)
@@ -595,29 +590,6 @@ let kernel_reference_equivalence =
       && agree ~domains:1 ~fault:plan ())
 
 (* --- the unified Monte-Carlo entry point --- *)
-
-(* [estimate]/[estimate_par] are documented as thin wrappers over
-   [Montecarlo.run] with the plain/fixed spec; this is the executable
-   form of that claim, at bit precision, sequential and pooled. *)
-let montecarlo_wrapper_spec_equivalence =
-  Property.make
-    ~name:"estimate/estimate_par are bit-equal to Montecarlo.run plain/fixed"
-    ~print:(fun (seed, (samples, chunks), dexp) ->
-      Printf.sprintf "seed %d, %d samples / %d chunks, %d domains" seed
-        samples chunks (1 lsl dexp))
-    (triple Generators.sample_seed
-       (pair (int_range 2 300) (int_range 1 16))
-       (int_range 0 2))
-    (fun (seed, (samples, chunks), dexp) ->
-      let f rng = Rng.gaussian rng +. Rng.float rng in
-      let spec = Montecarlo.spec (Montecarlo.fixed samples) in
-      let target = Montecarlo.target f in
-      Montecarlo.estimate (Rng.create ~seed) ~samples f
-      = Montecarlo.run spec (Rng.create ~seed) target
-      && Run_ctx.with_ctx ~domains:(1 lsl dexp)
-           ~chunking:(Run_ctx.Fixed chunks) ~warn:false (fun ctx ->
-             Montecarlo.estimate_par ~ctx (Rng.create ~seed) ~samples f
-             = Montecarlo.run ~ctx spec (Rng.create ~seed) target))
 
 (* Every sampling strategy is an equally unbiased estimator of the same
    yield: on a cave whose exact answer is known in closed form (the
@@ -730,7 +702,6 @@ let all =
     fault_probes_inert;
     fault_injection_transparency;
     kernel_reference_equivalence;
-    montecarlo_wrapper_spec_equivalence;
     montecarlo_strategy_unbiasedness;
     montecarlo_adaptive_determinism;
   ]

@@ -130,7 +130,7 @@ let estimate_with cache ~key ~build =
 let mc_estimate cache ~ctx ~seed ~spec ~samples config =
   let a, _ = analysis cache config in
   let k, _ = kernel cache config in
-  Cave.mc_yield_window_par ~ctx ~spec ~kernel:k (Rng.create ~seed) ~samples a
+  Cave.mc_yield_window ~ctx ~spec ~kernel:k (Rng.create ~seed) ~samples a
 
 let sweep cache spec =
   let key =

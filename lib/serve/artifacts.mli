@@ -101,7 +101,7 @@ val mc_estimate :
   samples:int ->
   Cave.config ->
   Montecarlo.estimate
-(** [Cave.mc_yield_window_par] through the {!analysis} and {!kernel}
+(** [Cave.mc_yield_window] through the {!analysis} and {!kernel}
     caches, uncached itself: the estimate's builder.  Caching it by
     {!estimate_key} is legitimate because the chunked estimator is
     bit-for-bit invariant in pool, chunking and domain count. *)

@@ -178,7 +178,7 @@ let test_artifacts_hit_equiv_cold () =
   let config = spec.Design.cave in
   let cold_analysis = Cave.analyze config in
   let cold_estimate =
-    Cave.mc_yield_window_par ~ctx
+    Cave.mc_yield_window ~ctx
       (Nanodec_numerics.Rng.create ~seed:7)
       ~samples:400 cold_analysis
   in

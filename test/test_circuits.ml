@@ -1,5 +1,5 @@
-(* Tests for the circuit-level extensions: address book, analog sensing
-   and the NOR-NOR PLA. *)
+(* Tests for the circuit-level extensions: address book and analog
+   sensing. *)
 
 open Nanodec_codes
 open Nanodec_numerics
@@ -168,131 +168,6 @@ let test_mc_sense_yield_tracks_window_model () =
   Alcotest.(check bool) "same ballpark" true
     (Float.abs (sense.Montecarlo.mean -. a.Cave.yield) < 0.15)
 
-(* --- PLA --- *)
-
-let fresh_memory seed =
-  let config =
-    {
-      Array_sim.cave = { Cave.default_config with Cave.n_wires = 10 };
-      raw_bits = 4096;
-    }
-  in
-  Memory.create (Rng.create ~seed) config
-
-let v i = { Pla.input = i; positive = true }
-let nv i = { Pla.input = i; positive = false }
-
-let program_exn memory ~inputs ~outputs =
-  match Pla.program memory ~inputs ~outputs with
-  | Ok pla -> pla
-  | Error (`Not_enough_rows (need, have)) ->
-    Alcotest.failf "rows: need %d have %d" need have
-  | Error (`Not_enough_columns (need, have)) ->
-    Alcotest.failf "cols: need %d have %d" need have
-
-let test_pla_xor () =
-  let memory = fresh_memory 41 in
-  (* xor = a.!b + !a.b *)
-  let pla =
-    program_exn memory ~inputs:2
-      ~outputs:[ [ [ v 0; nv 1 ]; [ nv 0; v 1 ] ] ]
-  in
-  Alcotest.(check int) "two terms" 2 (Pla.n_terms pla);
-  List.iteri
-    (fun bits row ->
-      let a = bits land 1 = 1
-      and b = bits land 2 = 2 in
-      Alcotest.(check bool)
-        (Printf.sprintf "xor %b %b" a b)
-        (a <> b) row.(0))
-    (Pla.truth_table pla)
-
-let test_pla_majority_and_parity_share_terms () =
-  let memory = fresh_memory 42 in
-  let maj = [ [ v 0; v 1 ]; [ v 0; v 2 ]; [ v 1; v 2 ] ] in
-  let all_ones = [ [ v 0; v 1; v 2 ] ] in
-  let pla = program_exn memory ~inputs:3 ~outputs:[ maj; all_ones ] in
-  Alcotest.(check int) "4 shared terms" 4 (Pla.n_terms pla);
-  List.iteri
-    (fun bits row ->
-      let x = Array.init 3 (fun i -> bits land (1 lsl i) <> 0) in
-      let ones = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 x in
-      Alcotest.(check bool) "majority" (ones >= 2) row.(0);
-      Alcotest.(check bool) "and3" (ones = 3) row.(1))
-    (Pla.truth_table pla)
-
-let test_pla_constants () =
-  let memory = fresh_memory 43 in
-  (* Empty product = true; empty sum = false. *)
-  let pla = program_exn memory ~inputs:1 ~outputs:[ [ [] ]; [] ] in
-  List.iter
-    (fun row ->
-      Alcotest.(check bool) "true output" true row.(0);
-      Alcotest.(check bool) "false output" false row.(1))
-    (Pla.truth_table pla)
-
-let test_pla_contradiction_is_false () =
-  let memory = fresh_memory 44 in
-  let pla = program_exn memory ~inputs:1 ~outputs:[ [ [ v 0; nv 0 ] ] ] in
-  List.iter
-    (fun row -> Alcotest.(check bool) "x and not x" false row.(0))
-    (Pla.truth_table pla)
-
-let test_pla_resource_errors () =
-  let memory = fresh_memory 45 in
-  let rows = Array.length (Defect_map.usable_indices (Memory.row_states memory)) in
-  let too_many_terms =
-    List.init (rows + 1) (fun t -> [ v (t mod 2) ])
-  in
-  (* Distinct single-literal products over 2 inputs collapse to <= 4, so
-     build genuinely distinct ones over many inputs instead. *)
-  ignore too_many_terms;
-  let inputs = 40 in
-  let distinct_terms = List.init (rows + 1) (fun t -> [ v (t mod inputs); v ((t + 1) mod inputs) ]) in
-  (match Pla.program memory ~inputs:2 ~outputs:[] with
-  | Ok pla -> Alcotest.(check int) "no terms" 0 (Pla.n_terms pla)
-  | Error _ -> Alcotest.fail "trivial program must fit");
-  match Pla.program memory ~inputs ~outputs:[ distinct_terms ] with
-  | Error (`Not_enough_rows _ | `Not_enough_columns _) -> ()
-  | Ok _ -> Alcotest.fail "expected a resource error"
-
-let test_pla_evaluate_arity () =
-  let memory = fresh_memory 46 in
-  let pla = program_exn memory ~inputs:2 ~outputs:[ [ [ v 0 ] ] ] in
-  Alcotest.check_raises "arity" (Invalid_argument "Pla.evaluate: input arity mismatch")
-    (fun () -> ignore (Pla.evaluate pla [| true |]))
-
-let prop_pla_matches_direct_evaluation =
-  (* Random 3-input sums of products evaluated on-fabric match direct
-     boolean evaluation. *)
-  let gen_literal =
-    QCheck.Gen.(map2 (fun input positive -> { Pla.input; positive }) (int_range 0 2) bool)
-  in
-  let gen_product = QCheck.Gen.(list_size (int_range 0 3) gen_literal) in
-  let gen_sop = QCheck.Gen.(list_size (int_range 0 4) gen_product) in
-  QCheck.Test.make ~name:"pla matches direct SoP evaluation" ~count:60
-    (QCheck.make QCheck.Gen.(pair gen_sop (int_range 0 10_000)))
-    (fun (sop, seed) ->
-      let memory = fresh_memory seed in
-      match Pla.program memory ~inputs:3 ~outputs:[ sop ] with
-      | Error _ -> QCheck.assume_fail ()
-      | Ok pla ->
-        List.for_all
-          (fun bits ->
-            let x = Array.init 3 (fun i -> bits land (1 lsl i) <> 0) in
-            let direct =
-              List.exists
-                (fun product ->
-                  List.for_all
-                    (fun l ->
-                      if l.Pla.positive then x.(l.Pla.input)
-                      else not x.(l.Pla.input))
-                    product)
-                sop
-            in
-            (Pla.evaluate pla x).(0) = direct)
-          (List.init 8 Fun.id))
-
 let suite =
   [
     Alcotest.test_case "address book coverage" `Quick test_address_book_coverage;
@@ -313,12 +188,4 @@ let suite =
     Alcotest.test_case "sense ratio guards" `Quick test_sense_ratio_guards;
     Alcotest.test_case "sense yield ~ window yield" `Slow
       test_mc_sense_yield_tracks_window_model;
-    Alcotest.test_case "pla xor" `Quick test_pla_xor;
-    Alcotest.test_case "pla majority + and3" `Quick
-      test_pla_majority_and_parity_share_terms;
-    Alcotest.test_case "pla constants" `Quick test_pla_constants;
-    Alcotest.test_case "pla contradiction" `Quick test_pla_contradiction_is_false;
-    Alcotest.test_case "pla resource errors" `Quick test_pla_resource_errors;
-    Alcotest.test_case "pla arity guard" `Quick test_pla_evaluate_arity;
-    QCheck_alcotest.to_alcotest prop_pla_matches_direct_evaluation;
   ]

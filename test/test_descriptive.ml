@@ -59,16 +59,21 @@ let test_histogram_constant_data () =
   let total = Array.fold_left (fun acc (_, _, c) -> acc + c) 0 bins in
   Alcotest.(check int) "all counted" 3 total
 
+let plain_mc rng ~samples f =
+  Montecarlo.run
+    (Montecarlo.spec (Montecarlo.fixed samples))
+    rng (Montecarlo.target f)
+
 let test_mc_estimate_constant () =
   let rng = Rng.create ~seed:1 in
-  let e = Montecarlo.estimate rng ~samples:100 (fun _ -> 3.) in
+  let e = plain_mc rng ~samples:100 (fun _ -> 3.) in
   check_float "mean" 3. e.Montecarlo.mean;
   check_float "stderr" 0. e.Montecarlo.std_error;
   Alcotest.(check bool) "within" true (Montecarlo.within e 3.)
 
 let test_mc_estimate_uniform () =
   let rng = Rng.create ~seed:2 in
-  let e = Montecarlo.estimate rng ~samples:10_000 Rng.float in
+  let e = plain_mc rng ~samples:10_000 Rng.float in
   Alcotest.(check bool) "CI contains 0.5" true (Montecarlo.within e 0.5);
   Alcotest.(check bool) "CI reasonably tight" true
     (e.Montecarlo.ci95_high -. e.Montecarlo.ci95_low < 0.02)
@@ -76,16 +81,10 @@ let test_mc_estimate_uniform () =
 let test_mc_proportion () =
   let rng = Rng.create ~seed:3 in
   let e =
-    Montecarlo.estimate_proportion rng ~samples:10_000 (fun rng ->
-        Rng.float rng < 0.3)
+    plain_mc rng ~samples:10_000 (fun rng ->
+        if Rng.float rng < 0.3 then 1. else 0.)
   in
   Alcotest.(check bool) "CI contains 0.3" true (Montecarlo.within e 0.3)
-
-let test_mc_rejects_tiny_sample () =
-  let rng = Rng.create ~seed:4 in
-  Alcotest.check_raises "one sample"
-    (Invalid_argument "Montecarlo.estimate: need >= 2 samples") (fun () ->
-      ignore (Montecarlo.estimate rng ~samples:1 (fun _ -> 0.)))
 
 let prop_mean_bounds =
   QCheck.Test.make ~name:"mean within [min, max]" ~count:200
@@ -125,7 +124,6 @@ let suite =
     Alcotest.test_case "MC constant" `Quick test_mc_estimate_constant;
     Alcotest.test_case "MC uniform" `Quick test_mc_estimate_uniform;
     Alcotest.test_case "MC proportion" `Quick test_mc_proportion;
-    Alcotest.test_case "MC sample guard" `Quick test_mc_rejects_tiny_sample;
     QCheck_alcotest.to_alcotest prop_mean_bounds;
     QCheck_alcotest.to_alcotest prop_variance_nonnegative;
     QCheck_alcotest.to_alcotest prop_quantile_monotone;

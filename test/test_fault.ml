@@ -23,12 +23,14 @@ let contains hay needle =
 (* The reference workload: a chunked Monte-Carlo estimate, the library's
    canonical restartable fan-out. *)
 let estimate ~ctx () =
-  (* The fixed chunk count rides on a derived context now that the
-     estimators take all scheduling through [Run_ctx]. *)
+  (* The fixed chunk count rides on a derived context: the estimator
+     takes all scheduling through [Run_ctx]. *)
   Run_ctx.with_request ~base:ctx ~chunking:(Run_ctx.Fixed 8) ~warn:false
     (fun ctx ->
-      Montecarlo.estimate_par ~ctx (Rng.create ~seed:2009) ~samples:400
-        (fun rng -> Rng.gaussian rng +. Rng.float rng))
+      Montecarlo.run ~ctx
+        (Montecarlo.spec (Montecarlo.fixed 400))
+        (Rng.create ~seed:2009)
+        (Montecarlo.target (fun rng -> Rng.gaussian rng +. Rng.float rng)))
 
 let workload ?fault ?timeout_s ?cancel ~domains () =
   Run_ctx.with_ctx ~domains ?fault ?timeout_s ?cancel (fun ctx ->

@@ -31,7 +31,7 @@ let test_kernel_equals_reference () =
         (fun domains ->
           Run_ctx.with_ctx ~domains ~warn:false (fun ctx ->
               let kernel =
-                Cave.mc_yield_window_par ~ctx (Rng.create ~seed:2009)
+                Cave.mc_yield_window ~ctx (Rng.create ~seed:2009)
                   ~samples:300 a
               in
               let reference =
@@ -59,7 +59,7 @@ let test_kernel_equals_reference_under_faults () =
             estimator ctx (Rng.create ~seed:11) a)
       in
       let kernelized ctx rng a =
-        Cave.mc_yield_window_par ~ctx rng ~samples:250 a
+        Cave.mc_yield_window ~ctx rng ~samples:250 a
       in
       let reference ctx rng a =
         Cave.mc_yield_window_reference ~ctx rng ~samples:250 a
@@ -80,15 +80,20 @@ let test_kernel_equals_reference_under_faults () =
     [ 1; 4 ]
 
 let test_sequential_kernel_path () =
-  (* mc_yield_window now runs the kernel on the single-stream estimator;
-     drawing through the kernel by hand must reproduce it exactly. *)
+  (* One window-yield estimator: without a context it is a hand-written
+     [Montecarlo.run] on the kernel's target, and a 2-domain context
+     moves no bit of it. *)
   let a = analysis_of Codebook.Tree 8 in
   let k = Cave.kernel_of_analysis a in
+  let spec = Montecarlo.spec (Montecarlo.fixed 150) in
   let direct = Cave.mc_yield_window (Rng.create ~seed:5) ~samples:150 a in
-  let manual =
-    Montecarlo.estimate (Rng.create ~seed:5) ~samples:150 (Kernel.draw k)
+  let manual = Montecarlo.run spec (Rng.create ~seed:5) (Kernel.target k) in
+  let pooled =
+    Run_ctx.with_ctx ~domains:2 ~warn:false (fun ctx ->
+        Montecarlo.run ~ctx spec (Rng.create ~seed:5) (Kernel.target k))
   in
-  Alcotest.check estimate "sequential path" direct manual
+  Alcotest.check estimate "ctx-less = hand-written run" direct manual;
+  Alcotest.check estimate "2-domain run = hand-written run" manual pooled
 
 let test_kernel_draw_accounting () =
   (* For a cave analysis every implant draw maps to one doping operation,

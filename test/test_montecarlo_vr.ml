@@ -340,7 +340,7 @@ let test_ctx_carries_spec () =
   Run_ctx.with_ctx ~domains:2 ~mc_method:(Run_ctx.Importance 1.0) ~warn:false
     (fun ctx ->
       Alcotest.check estimate "ctx mc_method == explicit spec" direct
-        (Cave.mc_yield_window_par ~ctx (Rng.create ~seed:9) ~samples:300 a))
+        (Cave.mc_yield_window ~ctx (Rng.create ~seed:9) ~samples:300 a))
 
 let suite =
   [

@@ -36,44 +36,28 @@ let integrand rng =
   let b = Rng.float rng in
   sin (3.0 *. a) *. cos (2.0 *. b) +. (a *. b)
 
-let predicate rng = Rng.float rng < 0.37
-
 let check_estimate_invariance ~samples ~chunks () =
   let chunking = Run_ctx.Fixed chunks in
+  let run ctx seed =
+    Montecarlo.run ~ctx
+      (Montecarlo.spec (Montecarlo.fixed samples))
+      (Rng.create ~seed) (Montecarlo.target integrand)
+  in
   List.iter
     (fun seed ->
-      let seq_ctx = Run_ctx.make ~chunking () in
-      let baseline =
-        Montecarlo.estimate_par ~ctx:seq_ctx (Rng.create ~seed) ~samples
-          integrand
-      in
-      let baseline_prop =
-        Montecarlo.estimate_proportion_par ~ctx:seq_ctx (Rng.create ~seed)
-          ~samples predicate
-      in
+      let baseline = run (Run_ctx.make ~chunking ()) seed in
       List.iter
         (fun domains ->
           Pool.with_pool ~domains (fun pool ->
-              let ctx = Run_ctx.make ~pool ~chunking () in
-              let e =
-                Montecarlo.estimate_par ~ctx (Rng.create ~seed) ~samples
-                  integrand
-              in
+              let e = run (Run_ctx.make ~pool ~chunking ()) seed in
               Alcotest.check estimate
                 (Printf.sprintf "estimate seed=%d domains=%d" seed domains)
-                baseline e;
-              let p =
-                Montecarlo.estimate_proportion_par ~ctx (Rng.create ~seed)
-                  ~samples predicate
-              in
-              Alcotest.check estimate
-                (Printf.sprintf "proportion seed=%d domains=%d" seed domains)
-                baseline_prop p))
+                baseline e))
         domain_counts)
     seeds
 
 let test_estimate_invariance () =
-  check_estimate_invariance ~samples:1000 ~chunks:Montecarlo.default_chunks ()
+  check_estimate_invariance ~samples:1000 ~chunks:64 ()
 
 let test_estimate_degenerate () =
   (* chunks > samples: most chunks are empty and must contribute nothing. *)
@@ -83,42 +67,9 @@ let test_estimate_degenerate () =
   (* single chunk: the parallel path is one sequential run. *)
   check_estimate_invariance ~samples:50 ~chunks:1 ()
 
-let test_estimate_agrees_with_plain () =
-  (* The chunked estimator draws from split sub-streams, so it is a
-     different (equally valid) sample than the plain estimator — the two
-     must agree statistically, not bitwise: means within a few combined
-     standard errors, standard errors of similar magnitude. *)
-  List.iter
-    (fun seed ->
-      let samples = 4000 in
-      let plain = Montecarlo.estimate (Rng.create ~seed) ~samples integrand in
-      let chunked =
-        Montecarlo.estimate_par (Rng.create ~seed) ~samples integrand
-      in
-      let gap = Float.abs (plain.Montecarlo.mean -. chunked.Montecarlo.mean) in
-      let combined_se =
-        sqrt
-          ((plain.Montecarlo.std_error ** 2.)
-          +. (chunked.Montecarlo.std_error ** 2.))
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "means agree within 5 SE, seed %d" seed)
-        true
-        (gap <= 5. *. combined_se);
-      Alcotest.(check bool)
-        (Printf.sprintf "std errors comparable, seed %d" seed)
-        true
-        (chunked.Montecarlo.std_error < 2. *. plain.Montecarlo.std_error
-        && plain.Montecarlo.std_error < 2. *. chunked.Montecarlo.std_error))
-    seeds
-
 let test_estimate_validation () =
-  Alcotest.check_raises "samples < 2"
-    (Invalid_argument "Montecarlo.estimate_par: need >= 2 samples")
-    (fun () ->
-      ignore (Montecarlo.estimate_par (Rng.create ~seed:1) ~samples:1 integrand));
-  (* Chunk counts now arrive through the context and are validated
-     there, uniformly for every estimator. *)
+  (* Chunk counts arrive through the context and are validated there,
+     uniformly for every estimator. *)
   Alcotest.check_raises "chunks < 1"
     (Invalid_argument "Run_ctx.make: Fixed chunking must be >= 1")
     (fun () -> ignore (Run_ctx.make ~chunking:(Run_ctx.Fixed 0) ()))
@@ -132,7 +83,7 @@ let test_mc_yield_window_invariance () =
   let analysis = Nanodec_crossbar.Cave.analyze spec.Nanodec.Design.cave in
   let samples = 200 in
   let baseline =
-    Nanodec_crossbar.Cave.mc_yield_window_par (Rng.create ~seed:2009) ~samples
+    Nanodec_crossbar.Cave.mc_yield_window (Rng.create ~seed:2009) ~samples
       analysis
   in
   List.iter
@@ -140,7 +91,7 @@ let test_mc_yield_window_invariance () =
       Pool.with_pool ~domains (fun pool ->
           let ctx = Run_ctx.make ~pool () in
           let e =
-            Nanodec_crossbar.Cave.mc_yield_window_par ~ctx
+            Nanodec_crossbar.Cave.mc_yield_window ~ctx
               (Rng.create ~seed:2009) ~samples analysis
           in
           Alcotest.check estimate
@@ -338,8 +289,6 @@ let suite =
       test_estimate_invariance;
     Alcotest.test_case "MC estimate degenerate chunkings" `Quick
       test_estimate_degenerate;
-    Alcotest.test_case "chunked estimator agrees with plain statistically"
-      `Quick test_estimate_agrees_with_plain;
     Alcotest.test_case "estimator argument validation" `Quick
       test_estimate_validation;
     Alcotest.test_case "crossbar MC yield invariant" `Quick

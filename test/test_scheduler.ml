@@ -22,7 +22,10 @@ let integrand rng =
   let b = Rng.gaussian rng in
   (a *. b) +. sin (5. *. a)
 
-let predicate rng = Rng.float rng < 0.41
+let run ~ctx ?(seed = 2009) samples =
+  Montecarlo.run ~ctx
+    (Montecarlo.spec (Montecarlo.fixed samples))
+    (Rng.create ~seed) (Montecarlo.target integrand)
 
 (* --- adversarial chunk/batch combinations --- *)
 
@@ -31,16 +34,9 @@ let ctx_fixed ?pool ?batch chunks =
 
 let test_adversarial_chunking () =
   let samples = 97 in
-  (* One pool-less, fixed-chunk reference per estimator; every
-     scheduling shape must reproduce it bit-for-bit. *)
-  let baseline =
-    Montecarlo.estimate_par ~ctx:(ctx_fixed 8) (Rng.create ~seed:2009)
-      ~samples integrand
-  in
-  let baseline_prop =
-    Montecarlo.estimate_proportion_par ~ctx:(ctx_fixed 8)
-      (Rng.create ~seed:2009) ~samples predicate
-  in
+  (* One pool-less, fixed-chunk reference; every scheduling shape must
+     reproduce it bit-for-bit. *)
+  let baseline = run ~ctx:(ctx_fixed 8) samples in
   let combos =
     [
       (1, 1);  (* single chunk: the whole job is one inline claim *)
@@ -65,11 +61,7 @@ let test_adversarial_chunking () =
               in
               let ctx = ctx_fixed ~pool ~batch chunks in
               Alcotest.check estimate ("estimate " ^ what) baseline
-                (Montecarlo.estimate_par ~ctx (Rng.create ~seed:2009)
-                   ~samples integrand);
-              Alcotest.check estimate ("proportion " ^ what) baseline_prop
-                (Montecarlo.estimate_proportion_par ~ctx
-                   (Rng.create ~seed:2009) ~samples predicate))
+                (run ~ctx samples))
             combos))
     [ 1; 4 ]
 
@@ -79,10 +71,7 @@ let fault_spec = "seed=7;pool.chunk:crash:p=0.2;mc.sample_batch:crash:p=0.15"
 
 let test_determinism_under_faults () =
   let samples = 300 in
-  let baseline =
-    Montecarlo.estimate_par ~ctx:(ctx_fixed 16) (Rng.create ~seed:2009)
-      ~samples integrand
-  in
+  let baseline = run ~ctx:(ctx_fixed 16) samples in
   List.iter
     (fun domains ->
       List.iter
@@ -92,9 +81,7 @@ let test_determinism_under_faults () =
           let fault = Fault.create (Fault.parse_exn fault_spec) in
           let e =
             Run_ctx.with_ctx ~domains ~fault ~warn:false
-              ~chunking:(Run_ctx.Fixed 16) ~batch (fun ctx ->
-                Montecarlo.estimate_par ~ctx (Rng.create ~seed:2009) ~samples
-                  integrand)
+              ~chunking:(Run_ctx.Fixed 16) ~batch (fun ctx -> run ~ctx samples)
           in
           Alcotest.check estimate
             (Printf.sprintf "faulted run, domains=%d batch=%d" domains batch)
@@ -157,10 +144,7 @@ let test_autotune_plans () =
   (* Measured path: calibrate a sink with a real instrumented estimate,
      then plan against its history. *)
   let sink = Telemetry.create () in
-  Run_ctx.with_ctx ~telemetry:sink (fun ctx ->
-      ignore
-        (Montecarlo.estimate_par ~ctx (Rng.create ~seed:2009) ~samples:2000
-           integrand));
+  Run_ctx.with_ctx ~telemetry:sink (fun ctx -> ignore (run ~ctx 2000));
   List.iter
     (fun samples ->
       let p = Autotune.plan ~telemetry:sink ~domains:4 ~samples () in
@@ -177,25 +161,17 @@ let test_auto_equals_fixed () =
   let samples = 400 in
   let fixed =
     Run_ctx.with_ctx ~domains:4 ~chunking:(Run_ctx.Fixed 11) (fun ctx ->
-        Montecarlo.estimate_par ~ctx (Rng.create ~seed:2009) ~samples
-          integrand)
+        run ~ctx samples)
   in
   (* Auto, telemetry off (deterministic fallback)... *)
-  let auto_cold =
-    Run_ctx.with_ctx ~domains:4 (fun ctx ->
-        Montecarlo.estimate_par ~ctx (Rng.create ~seed:2009) ~samples
-          integrand)
-  in
+  let auto_cold = Run_ctx.with_ctx ~domains:4 (fun ctx -> run ~ctx samples) in
   (* ... and auto with a warm sink, where the measured cost model picks
      a machine-dependent plan — still the same bits. *)
   let sink = Telemetry.create () in
   let auto_warm =
     Run_ctx.with_ctx ~domains:4 ~telemetry:sink (fun ctx ->
-        ignore
-          (Montecarlo.estimate_par ~ctx (Rng.create ~seed:1) ~samples
-             integrand);
-        Montecarlo.estimate_par ~ctx (Rng.create ~seed:2009) ~samples
-          integrand)
+        ignore (run ~ctx ~seed:1 samples);
+        run ~ctx samples)
   in
   Alcotest.check estimate "auto (fallback) = fixed" fixed auto_cold;
   Alcotest.check estimate "auto (measured) = fixed" fixed auto_warm;

@@ -114,7 +114,7 @@ let test_evaluate_mc_matches_direct () =
       Nanodec.Design.spec ~code_type:Nanodec_codes.Codebook.Balanced_gray
         ~code_length:8 ()
     in
-    Nanodec_crossbar.Cave.mc_yield_window_par ~ctx
+    Nanodec_crossbar.Cave.mc_yield_window ~ctx
       (Nanodec_numerics.Rng.create ~seed:11)
       ~samples:300
       (Nanodec_crossbar.Cave.analyze spec.Nanodec.Design.cave)
@@ -173,7 +173,7 @@ let test_matches_standalone_sequential_run () =
       Nanodec.Design.spec ~code_type:Nanodec_codes.Codebook.Gray
         ~code_length:8 ()
     in
-    Nanodec_crossbar.Cave.mc_yield_window_par ~ctx
+    Nanodec_crossbar.Cave.mc_yield_window ~ctx
       (Nanodec_numerics.Rng.create ~seed:21)
       ~samples:400
       (Nanodec_crossbar.Cave.analyze spec.Nanodec.Design.cave)

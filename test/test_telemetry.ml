@@ -334,28 +334,21 @@ let test_run_ctx_validation () =
     (Invalid_argument "Run_ctx.make: mc_samples must be >= 0") (fun () ->
       ignore (Run_ctx.make ~mc_samples:(-1) ()))
 
-let test_run_ctx_resolve () =
-  (* Bare pool, no ctx: wrapped into a default context. *)
-  Pool.with_pool ~domains:2 (fun pool ->
-      let r = Run_ctx.resolve ~pool () in
-      Alcotest.(check bool) "pool adopted" true (is_same pool (Run_ctx.pool r));
-      Alcotest.(check int) "default seed" Run_ctx.default_seed (Run_ctx.seed r);
-      (* ctx with its own pool wins over the bare pool. *)
-      Run_ctx.with_ctx ~domains:2 ~seed:5 (fun ctx ->
-          let ctx_pool = Option.get (Run_ctx.pool ctx) in
-          let r = Run_ctx.resolve ~ctx ~pool () in
-          Alcotest.(check bool) "ctx pool wins" true
-            (is_same ctx_pool (Run_ctx.pool r));
-          Alcotest.(check int) "ctx fields kept" 5 (Run_ctx.seed r));
-      (* ctx without a pool adopts the bare pool, keeping its fields. *)
-      let ctx = Run_ctx.make ~seed:9 () in
-      let r = Run_ctx.resolve ~ctx ~pool () in
-      Alcotest.(check bool) "bare pool fills empty slot" true
-        (is_same pool (Run_ctx.pool r));
-      Alcotest.(check int) "ctx fields kept" 9 (Run_ctx.seed r));
-  let r = Run_ctx.resolve () in
-  Alcotest.(check bool) "nothing given: sequential default" true
-    (Run_ctx.pool r = None)
+let test_run_ctx_sequential () =
+  (* The default every [?ctx] consumer falls back to.  The chaos job
+     reruns the suite with NANODEC_FAULT_PLAN set, so "no fault" here
+     also shows the constant ignores the environment. *)
+  let c = Run_ctx.sequential in
+  Alcotest.(check bool) "no pool" true (Run_ctx.pool c = None);
+  Alcotest.(check bool) "no fault" true (Run_ctx.fault c = None);
+  Alcotest.(check bool) "no telemetry" true (Run_ctx.telemetry c = None);
+  Alcotest.(check int) "default seed" Run_ctx.default_seed (Run_ctx.seed c);
+  Alcotest.(check int) "default samples" Run_ctx.default_mc_samples
+    (Run_ctx.mc_samples c);
+  Alcotest.(check bool) "Auto chunking" true
+    (Run_ctx.chunking c = Run_ctx.Auto);
+  Alcotest.(check bool) "Plain method" true
+    (Run_ctx.mc_method c = Run_ctx.Plain)
 
 let suite =
   [
@@ -379,6 +372,6 @@ let suite =
       test_run_ctx_borrowed_pool;
     Alcotest.test_case "Run_ctx validates arguments" `Quick
       test_run_ctx_validation;
-    Alcotest.test_case "Run_ctx.resolve precedence" `Quick
-      test_run_ctx_resolve;
+    Alcotest.test_case "Run_ctx.sequential shape" `Quick
+      test_run_ctx_sequential;
   ]
