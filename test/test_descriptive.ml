@@ -86,6 +86,45 @@ let test_mc_proportion () =
   in
   Alcotest.(check bool) "CI contains 0.3" true (Montecarlo.within e 0.3)
 
+let test_mc_proportion_moments () =
+  (* On a 0/1 indicator the estimate is the hit fraction k/n and its
+     standard error the exact sample-variance form sqrt(p(1-p)/(n-1)). *)
+  let samples = 500 in
+  let e =
+    plain_mc (Rng.create ~seed:5) ~samples (fun rng ->
+        if Rng.float rng < 0.2 then 1. else 0.)
+  in
+  let n = float_of_int samples in
+  let p = e.Montecarlo.mean in
+  let hits = p *. n in
+  check_float "mean is a hit fraction" (Float.round hits) hits;
+  Alcotest.(check bool) "mean in (0, 1)" true (p > 0. && p < 1.);
+  check_float "std error" (sqrt (p *. (1. -. p) /. (n -. 1.)))
+    e.Montecarlo.std_error;
+  Alcotest.(check int) "samples" samples e.Montecarlo.samples
+
+let test_mc_rejects_tiny_sample () =
+  (* The sample guard fires before any draw and whether or not a pool
+     would run the job. *)
+  let rejects ?ctx samples =
+    let rng = Rng.create ~seed:4 in
+    Alcotest.check_raises
+      (Printf.sprintf "%d samples" samples)
+      (Invalid_argument "Montecarlo.run: need >= 2 samples")
+      (fun () ->
+        ignore
+          (Montecarlo.run ?ctx
+             (Montecarlo.spec (Montecarlo.fixed samples))
+             rng
+             (Montecarlo.target (fun _ -> 0.))));
+    check_float "stream untouched"
+      (Rng.float (Rng.create ~seed:4))
+      (Rng.float rng)
+  in
+  List.iter (fun n -> rejects n) [ 0; 1 ];
+  Nanodec_parallel.Run_ctx.with_ctx ~domains:2 ~warn:false (fun ctx ->
+      List.iter (fun n -> rejects ~ctx n) [ 0; 1 ])
+
 let prop_mean_bounds =
   QCheck.Test.make ~name:"mean within [min, max]" ~count:200
     QCheck.(array_of_size Gen.(int_range 1 40) (float_range (-100.) 100.))
@@ -124,6 +163,9 @@ let suite =
     Alcotest.test_case "MC constant" `Quick test_mc_estimate_constant;
     Alcotest.test_case "MC uniform" `Quick test_mc_estimate_uniform;
     Alcotest.test_case "MC proportion" `Quick test_mc_proportion;
+    Alcotest.test_case "MC proportion moments" `Quick
+      test_mc_proportion_moments;
+    Alcotest.test_case "MC sample guard" `Quick test_mc_rejects_tiny_sample;
     QCheck_alcotest.to_alcotest prop_mean_bounds;
     QCheck_alcotest.to_alcotest prop_variance_nonnegative;
     QCheck_alcotest.to_alcotest prop_quantile_monotone;

@@ -95,6 +95,56 @@ let test_sequential_kernel_path () =
   Alcotest.check estimate "ctx-less = hand-written run" direct manual;
   Alcotest.check estimate "2-domain run = hand-written run" manual pooled
 
+let test_ctx_less_equals_reference () =
+  (* Without a context both estimators fall back to
+     [Run_ctx.sequential]; the kernel still reproduces the reference. *)
+  List.iter
+    (fun (ct, m) ->
+      let a = analysis_of ct m in
+      Alcotest.check estimate
+        (Printf.sprintf "%s M=%d" (Codebook.name ct) m)
+        (Cave.mc_yield_window_reference (Rng.create ~seed:13) ~samples:200 a)
+        (Cave.mc_yield_window (Rng.create ~seed:13) ~samples:200 a))
+    families
+
+let test_precompiled_kernel () =
+  (* A caller holding the compiled program (the serve artifact cache)
+     gets the same estimate as a per-call compile, with or without a
+     pool. *)
+  let a = analysis_of Codebook.Balanced_gray 10 in
+  let kernel = Cave.kernel_of_analysis a in
+  let compiled = Cave.mc_yield_window (Rng.create ~seed:3) ~samples:250 a in
+  Alcotest.check estimate "ctx-less" compiled
+    (Cave.mc_yield_window ~kernel (Rng.create ~seed:3) ~samples:250 a);
+  Run_ctx.with_ctx ~domains:2 ~warn:false (fun ctx ->
+      Alcotest.check estimate "2-domain context" compiled
+        (Cave.mc_yield_window ~ctx ~kernel (Rng.create ~seed:3) ~samples:250
+           a))
+
+let test_explicit_spec_wins () =
+  (* An explicit [?spec] overrides the context's sampling method in both
+     directions. *)
+  let a = analysis_of Codebook.Tree 8 in
+  let plain = Cave.mc_yield_window (Rng.create ~seed:6) ~samples:200 a in
+  let antithetic_spec =
+    Montecarlo.spec ~strategy:Montecarlo.Antithetic (Montecarlo.fixed 200)
+  in
+  let antithetic =
+    Cave.mc_yield_window ~spec:antithetic_spec (Rng.create ~seed:6)
+      ~samples:200 a
+  in
+  Run_ctx.with_ctx ~domains:2 ~mc_method:Run_ctx.Antithetic ~warn:false
+    (fun ctx ->
+      Alcotest.check estimate "plain spec beats antithetic ctx" plain
+        (Cave.mc_yield_window ~ctx
+           ~spec:(Montecarlo.spec (Montecarlo.fixed 200))
+           (Rng.create ~seed:6) ~samples:200 a);
+      Alcotest.check estimate "antithetic ctx = antithetic spec" antithetic
+        (Cave.mc_yield_window ~ctx (Rng.create ~seed:6) ~samples:200 a));
+  Alcotest.check estimate "hand-written antithetic run" antithetic
+    (Montecarlo.run antithetic_spec (Rng.create ~seed:6)
+       (Kernel.target (Cave.kernel_of_analysis a)))
+
 let test_kernel_draw_accounting () =
   (* For a cave analysis every implant draw maps to one doping operation,
      so the compiled program size must equal sum(nu) plus (sigma_base <>
@@ -336,6 +386,12 @@ let suite =
       test_kernel_equals_reference_under_faults;
     Alcotest.test_case "sequential estimator runs the kernel" `Quick
       test_sequential_kernel_path;
+    Alcotest.test_case "ctx-less kernel equals reference" `Quick
+      test_ctx_less_equals_reference;
+    Alcotest.test_case "precompiled kernel equals per-call compile" `Quick
+      test_precompiled_kernel;
+    Alcotest.test_case "explicit spec overrides the context method" `Quick
+      test_explicit_spec_wins;
     Alcotest.test_case "compiled program size equals sum(nu)" `Quick
       test_kernel_draw_accounting;
     Alcotest.test_case "Rng.Fast mirrors the gaussian stream" `Quick

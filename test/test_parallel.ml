@@ -67,6 +67,36 @@ let test_estimate_degenerate () =
   (* single chunk: the parallel path is one sequential run. *)
   check_estimate_invariance ~samples:50 ~chunks:1 ()
 
+(* The 0/1 indicator that replaced the proportion estimators takes the
+   same chunked path: bit-equal across domain counts and chunkings. *)
+let test_proportion_invariance () =
+  let indicator rng = if Rng.float rng < 0.37 then 1. else 0. in
+  let run ctx seed =
+    Montecarlo.run ~ctx
+      (Montecarlo.spec (Montecarlo.fixed 600))
+      (Rng.create ~seed) (Montecarlo.target indicator)
+  in
+  List.iter
+    (fun seed ->
+      let baseline = run Run_ctx.sequential seed in
+      Alcotest.(check bool)
+        (Printf.sprintf "CI contains 0.37, seed=%d" seed)
+        true
+        (Montecarlo.within baseline 0.37);
+      List.iter
+        (fun domains ->
+          Pool.with_pool ~domains (fun pool ->
+              List.iter
+                (fun chunking ->
+                  Alcotest.check estimate
+                    (Printf.sprintf "proportion seed=%d domains=%d" seed
+                       domains)
+                    baseline
+                    (run (Run_ctx.make ~pool ~chunking ()) seed))
+                [ Run_ctx.Auto; Run_ctx.Fixed 7 ]))
+        domain_counts)
+    seeds
+
 let test_estimate_validation () =
   (* Chunk counts arrive through the context and are validated there,
      uniformly for every estimator. *)
@@ -155,6 +185,28 @@ let test_scaling_ablation_invariance () =
       Alcotest.(check bool)
         "sigma_t ablation identical" true
         (Nanodec.Ablation.sigma_t ~ctx () = ablation))
+
+(* Omitting [?ctx] is exactly passing [Run_ctx.sequential]. *)
+let test_ctx_less_is_sequential () =
+  let ctx = Run_ctx.sequential in
+  Alcotest.(check bool) "optimizer sweep" true
+    (Nanodec.Optimizer.sweep ~candidates:small_candidates ()
+    = Nanodec.Optimizer.sweep ~ctx ~candidates:small_candidates ());
+  Alcotest.(check bool) "fig8" true
+    (Nanodec.Figures.fig8 () = Nanodec.Figures.fig8 ~ctx ());
+  Alcotest.(check bool) "sigma_t ablation" true
+    (Nanodec.Ablation.sigma_t () = Nanodec.Ablation.sigma_t ~ctx ());
+  let nodes = [ List.hd Nanodec.Scaling.default_nodes ] in
+  Alcotest.(check bool) "scaling nodes" true
+    (Nanodec.Scaling.sweep_nodes ~nodes ()
+    = Nanodec.Scaling.sweep_nodes ~ctx ~nodes ());
+  Alcotest.check estimate "MC estimate"
+    (Montecarlo.run
+       (Montecarlo.spec (Montecarlo.fixed 300))
+       (Rng.create ~seed:2009) (Montecarlo.target integrand))
+    (Montecarlo.run ~ctx
+       (Montecarlo.spec (Montecarlo.fixed 300))
+       (Rng.create ~seed:2009) (Montecarlo.target integrand))
 
 (* --- pool robustness --- *)
 
@@ -289,12 +341,16 @@ let suite =
       test_estimate_invariance;
     Alcotest.test_case "MC estimate degenerate chunkings" `Quick
       test_estimate_degenerate;
+    Alcotest.test_case "MC proportion invariant across domain counts" `Quick
+      test_proportion_invariance;
     Alcotest.test_case "estimator argument validation" `Quick
       test_estimate_validation;
     Alcotest.test_case "crossbar MC yield invariant" `Quick
       test_mc_yield_window_invariance;
     Alcotest.test_case "optimizer sweep invariant" `Quick test_sweep_invariance;
     Alcotest.test_case "figures 7/8 invariant" `Quick test_figures_invariance;
+    Alcotest.test_case "ctx-less calls equal Run_ctx.sequential" `Quick
+      test_ctx_less_is_sequential;
     Alcotest.test_case "scaling and ablation invariant" `Quick
       test_scaling_ablation_invariance;
     Alcotest.test_case "chunk exception re-raised at join" `Quick

@@ -350,6 +350,71 @@ let test_run_ctx_sequential () =
   Alcotest.(check bool) "Plain method" true
     (Run_ctx.mc_method c = Run_ctx.Plain)
 
+let test_run_ctx_sequential_derivation () =
+  (* A request derived from the constant sees its overrides; the
+     constant itself keeps its defaults. *)
+  Run_ctx.with_request ~base:Run_ctx.sequential ~seed:7 ~mc_samples:10
+    ~chunking:(Run_ctx.Fixed 3) ~mc_method:Run_ctx.Antithetic ~warn:false
+    (fun ctx ->
+      Alcotest.(check int) "seed override" 7 (Run_ctx.seed ctx);
+      Alcotest.(check int) "samples override" 10 (Run_ctx.mc_samples ctx);
+      Alcotest.(check bool) "chunking override" true
+        (Run_ctx.chunking ctx = Run_ctx.Fixed 3);
+      Alcotest.(check bool) "method override" true
+        (Run_ctx.mc_method ctx = Run_ctx.Antithetic);
+      Alcotest.(check bool) "still no pool" true (Run_ctx.pool ctx = None));
+  let c = Run_ctx.sequential in
+  Alcotest.(check int) "seed kept" Run_ctx.default_seed (Run_ctx.seed c);
+  Alcotest.(check int) "samples kept" Run_ctx.default_mc_samples
+    (Run_ctx.mc_samples c);
+  Alcotest.(check bool) "chunking kept" true
+    (Run_ctx.chunking c = Run_ctx.Auto);
+  Alcotest.(check bool) "method kept" true
+    (Run_ctx.mc_method c = Run_ctx.Plain)
+
+let test_run_ctx_make_matches_sequential () =
+  (* [make ()] builds the same context as the constant in every knob
+     but the fault engine, which [make] alone takes from the
+     environment. *)
+  let m = Run_ctx.make ~warn:false () and c = Run_ctx.sequential in
+  Alcotest.(check bool) "pool" true
+    (Run_ctx.pool m = None && Run_ctx.pool c = None);
+  Alcotest.(check int) "seed" (Run_ctx.seed c) (Run_ctx.seed m);
+  Alcotest.(check int) "samples" (Run_ctx.mc_samples c) (Run_ctx.mc_samples m);
+  Alcotest.(check bool) "telemetry" true
+    (Run_ctx.telemetry m = None && Run_ctx.telemetry c = None);
+  Alcotest.(check (option (float 0.))) "timeout" (Run_ctx.timeout_s c)
+    (Run_ctx.timeout_s m);
+  Alcotest.(check bool) "cancel" true
+    (Run_ctx.cancel m = None && Run_ctx.cancel c = None);
+  Alcotest.(check bool) "chunking" true
+    (Run_ctx.chunking m = Run_ctx.chunking c);
+  Alcotest.(check (option int)) "batch" (Run_ctx.batch c) (Run_ctx.batch m);
+  Alcotest.(check bool) "method" true
+    (Run_ctx.mc_method m = Run_ctx.mc_method c);
+  Alcotest.(check (option (float 0.))) "rel_error" (Run_ctx.rel_error c)
+    (Run_ctx.rel_error m);
+  Run_ctx.shutdown m
+
+let test_run_ctx_sequential_map_list () =
+  (* Without a pool [map_list] is [List.map]: same results, elements
+     visited in order, the first failure raised. *)
+  let seen = ref [] in
+  let out =
+    Run_ctx.map_list Run_ctx.sequential
+      (fun x ->
+        seen := x :: !seen;
+        x * x)
+      [ 3; 1; 2 ]
+  in
+  Alcotest.(check (list int)) "results" [ 9; 1; 4 ] out;
+  Alcotest.(check (list int)) "visit order" [ 3; 1; 2 ] (List.rev !seen);
+  Alcotest.check_raises "first failure" (Failure "1") (fun () ->
+      ignore
+        (Run_ctx.map_list Run_ctx.sequential
+           (fun x -> if x > 0 then failwith (string_of_int x) else x)
+           [ 0; 1; 2 ]))
+
 let suite =
   [
     Alcotest.test_case "counters" `Quick test_counters;
@@ -374,4 +439,10 @@ let suite =
       test_run_ctx_validation;
     Alcotest.test_case "Run_ctx.sequential shape" `Quick
       test_run_ctx_sequential;
+    Alcotest.test_case "Run_ctx.sequential survives derivation" `Quick
+      test_run_ctx_sequential_derivation;
+    Alcotest.test_case "Run_ctx.make () matches Run_ctx.sequential" `Quick
+      test_run_ctx_make_matches_sequential;
+    Alcotest.test_case "Run_ctx.sequential map_list is List.map" `Quick
+      test_run_ctx_sequential_map_list;
   ]
